@@ -147,11 +147,9 @@ def solve(
     key = None
     cache_obj: Any = None
     if cache is not None and cache is not False:
-        cacheable = (
-            not sinks and fault_plan is None and backend != "rtl" and not strict
-        )
-        if cacheable:
-            from ..exec.cache import default_cache
+        from ..exec.cache import cacheable, default_cache
+
+        if cacheable(sinks, fault_plan, backend, strict):
             from ..exec.digest import cache_key
 
             cache_obj = default_cache() if cache is True else cache

@@ -8,9 +8,12 @@ interchangeable as far as :func:`repro.core.solver.solve` is concerned.
 Node-value problems are digested through their *materialized* cost
 matrices — the paper's own eq.-(4) equivalence between the node-value
 and edge-cost forms — because the ``edge_cost`` callable itself has no
-canonical byte form.  Problems with no canonical serialization (general
-nonserial objectives, whose terms are arbitrary callables) digest to
-``None`` and are simply never cached.
+canonical byte form.  A node-value problem owns read-only copies of its
+values and builds its cost layers once, so its digest cannot go stale
+and is computed once per problem.  Edge-cost graphs hold arrays their
+caller may still edit, so they are hashed on every call.  Problems with
+no canonical serialization (general nonserial objectives, whose terms
+are arbitrary callables) digest to ``None`` and are simply never cached.
 """
 
 from __future__ import annotations
@@ -19,14 +22,34 @@ import hashlib
 
 import numpy as np
 
+from ..core.problem import MatrixChainProblem
+from ..graphs import MultistageGraph, NodeValueProblem
+
 __all__ = ["problem_digest", "cache_key"]
+
+
+#: Attribute under which a node-value problem's digest is memoized.
+_MEMO = "_problem_digest"
 
 
 def _update_array(h: "hashlib._Hash", a: np.ndarray) -> None:
     a = np.ascontiguousarray(a)
-    h.update(str(a.dtype).encode())
+    h.update(a.dtype.str.encode())
     h.update(repr(a.shape).encode())
     h.update(a.tobytes())
+
+
+def _node_value_digest(problem: NodeValueProblem) -> str:
+    h = hashlib.sha256()
+    h.update(b"node_value\x00")
+    h.update(problem.semiring.name.encode())
+    for v in problem.values:
+        _update_array(h, v)
+    # Eq.-4 equivalence: the materialized edge costs are the canonical
+    # content of the stage cost function.
+    for k in range(problem.num_stages - 1):
+        _update_array(h, problem.cost_matrix(k))
+    return h.hexdigest()
 
 
 def problem_digest(problem: object) -> str | None:
@@ -35,20 +58,14 @@ def problem_digest(problem: object) -> str | None:
     ``None`` means the problem has no canonical byte serialization and
     must bypass the cache.
     """
-    from ..core.problem import MatrixChainProblem
-    from ..graphs import MultistageGraph, NodeValueProblem
-
-    h = hashlib.sha256()
     if isinstance(problem, NodeValueProblem):
-        h.update(b"node_value\x00")
-        h.update(problem.semiring.name.encode())
-        for v in problem.values:
-            _update_array(h, v)
-        # Eq.-4 equivalence: the materialized edge costs are the
-        # canonical content of the stage cost function.
-        for k in range(problem.num_stages - 1):
-            _update_array(h, problem.cost_matrix(k))
-        return h.hexdigest()
+        memo: str | None = vars(problem).get(_MEMO)
+        if memo is None:
+            # The frozen dataclass refuses attribute assignment; the memo
+            # goes straight into its ``__dict__``, as ``cached_property`` does.
+            memo = vars(problem)[_MEMO] = _node_value_digest(problem)
+        return memo
+    h = hashlib.sha256()
     if isinstance(problem, MultistageGraph):
         h.update(b"multistage_graph\x00")
         h.update(problem.semiring.name.encode())

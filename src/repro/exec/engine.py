@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Sequence
 from ..core.solver import SolveReport, solve
 from ..dnc import plan_shards
 from ..systolic import normalize_backend
-from .cache import SolveCache, default_cache
+from .cache import SolveCache, cacheable, default_cache
 from .digest import cache_key
 from .grouping import VECTORIZED_KINDS, Group, group_problems
 from .pool import ShardResult, execute_payloads
@@ -170,8 +170,9 @@ def solve_batch(
         cache_obj = None
     else:
         cache_obj = cache
-    side_effectful = bool(sinks) or fault_plan is not None or backend == "rtl" or strict
-    cache_active = cache_obj is not None and not side_effectful
+    cache_active = cache_obj is not None and cacheable(
+        sinks, fault_plan, backend, strict
+    )
 
     reports: list[SolveReport | None] = [None] * total
     keys: list[tuple | None] = [None] * total

@@ -22,8 +22,9 @@ regimes:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +35,10 @@ __all__ = ["MultistageGraph", "NodeValueProblem", "GraphError"]
 
 class GraphError(ValueError):
     """Raised for malformed multistage graphs or problems."""
+
+
+def _has_nan(a: np.ndarray) -> bool:
+    return a.dtype.kind in "fc" and bool(np.isnan(a).any())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,6 +71,8 @@ class MultistageGraph:
                 raise GraphError(f"costs[{k}] must be 2-D, got shape {c.shape}")
             if min(c.shape) < 1:
                 raise GraphError(f"costs[{k}] has an empty stage: shape {c.shape}")
+            if _has_nan(c):
+                raise GraphError(f"costs[{k}] contains NaN")
         for k in range(len(mats) - 1):
             if mats[k].shape[1] != mats[k + 1].shape[0]:
                 raise GraphError(
@@ -196,13 +203,16 @@ class NodeValueProblem:
     ----------
     values:
         ``values[k]`` is the 1-D array of quantized values of variable
-        ``X_{k+1}`` (stage ``k``).
+        ``X_{k+1}`` (stage ``k``).  The problem keeps read-only float64
+        copies; NaN values raise :class:`GraphError`.
     edge_cost:
         Vectorized ``g``: called as ``edge_cost(xk, xk1)`` on broadcastable
         arrays of stage-``k`` and stage-``k+1`` values, returns elementwise
         costs.  The paper assumes ``g`` independent of the stage index
         (required for systolic feeding); a per-stage variant can be
-        expressed by baking the stage index into the node values.
+        expressed by baking the stage index into the node values.  It
+        runs once per layer, the first time any cost is read; a NaN
+        cost raises :class:`GraphError` then.
     semiring:
         Cost algebra, min-plus by default.
     """
@@ -214,49 +224,73 @@ class NodeValueProblem:
     def __post_init__(self) -> None:
         if len(self.values) < 2:
             raise GraphError("a node-value problem needs at least two stages")
-        vals = tuple(np.asarray(v, dtype=np.float64) for v in self.values)
+        # Owned copies: later edits to the caller's arrays must not change
+        # the problem, its cached costs or its cache digest.
+        vals = tuple(np.array(v, dtype=np.float64) for v in self.values)
         for k, v in enumerate(vals):
             if v.ndim != 1:
                 raise GraphError(f"values[{k}] must be 1-D, got shape {v.shape}")
             if v.size == 0:
                 raise GraphError(f"values[{k}] is empty")
+            if _has_nan(v):
+                raise GraphError(f"values[{k}] contains NaN")
+            v.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Copies and unpickled problems go through the constructor, so
+        # they own fresh read-only values and start with empty caches.
+        return (type(self), (self.values, self.edge_cost, self.semiring))
 
     @property
     def num_stages(self) -> int:
         """Number of variables / stages ``N``."""
         return len(self.values)
 
-    @property
+    @functools.cached_property
     def stage_sizes(self) -> tuple[int, ...]:
         """Number of quantized values in each stage."""
         return tuple(v.size for v in self.values)
 
-    @property
+    @functools.cached_property
     def is_uniform(self) -> bool:
         """True when every stage has the same number of quantized values."""
         sizes = self.stage_sizes
         return all(s == sizes[0] for s in sizes)
+
+    @functools.cached_property
+    def _cost_layers(self) -> tuple[np.ndarray, ...]:
+        """Every layer's cost matrix, built on first use and read-only."""
+        layers = []
+        for k in range(self.num_stages - 1):
+            xk = self.values[k][:, None]
+            xk1 = self.values[k + 1][None, :]
+            # ``np.array`` copies: ``edge_cost`` may hand back an array
+            # it still owns, which must not turn read-only under it.
+            out = np.array(self.edge_cost(xk, xk1), dtype=self.semiring.dtype)
+            expected = (self.values[k].size, self.values[k + 1].size)
+            if out.shape != expected:
+                raise GraphError(
+                    f"edge_cost returned shape {out.shape}, expected {expected}; "
+                    "it must be vectorized over broadcast inputs"
+                )
+            if _has_nan(out):
+                raise GraphError(f"edge_cost returned NaN in layer {k}")
+            out.setflags(write=False)
+            layers.append(out)
+        return tuple(layers)
 
     def cost_matrix(self, k: int) -> np.ndarray:
         """Materialized cost matrix between stage ``k`` and ``k + 1``.
 
         ``out[i, j] = g(values[k][i], values[k+1][j])`` — used to convert
         the problem to edge-cost form and by the sequential reference
-        solver.
+        solver.  All layers are built together on the first call and
+        shared by every later one, so the result is read-only.
         """
         if not 0 <= k < self.num_stages - 1:
             raise GraphError(f"layer index {k} out of range")
-        xk = self.values[k][:, None]
-        xk1 = self.values[k + 1][None, :]
-        out = self.semiring.asarray(self.edge_cost(xk, xk1))
-        expected = (self.values[k].size, self.values[k + 1].size)
-        if out.shape != expected:
-            raise GraphError(
-                f"edge_cost returned shape {out.shape}, expected {expected}; "
-                "it must be vectorized over broadcast inputs"
-            )
-        return out
+        return self._cost_layers[k]
 
     def to_graph(self) -> MultistageGraph:
         """Materialize the equivalent edge-cost multistage graph."""

@@ -9,6 +9,9 @@ the cache entirely, in both ``solve_batch`` and ``solve(cache=...)``.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -191,3 +194,83 @@ class TestBypassSemantics:
         )
         assert result.stats.cache_hits == 0
         assert len(events) > 0
+
+
+class TestNodeValueHotPath:
+    def test_edge_cost_runs_once_per_layer(self, rng):
+        calls: list[int] = []
+
+        def counted(x, y):
+            calls.append(1)
+            return np.abs(x - y)
+
+        p = NodeValueProblem(
+            values=tuple(rng.uniform(0, 5, 4) for _ in range(6)), edge_cost=counted
+        )
+        cache = SolveCache()
+        batched = solve_batch([p], cache=cache).reports[0]
+        single = solve(p, backend="fast")  # oracle + Fig. 5 array, no cache
+        hit = solve(p, backend="fast", cache=cache)
+        assert cache.stats.hits == 1
+        assert batched.optimum == single.optimum == hit.optimum
+        assert len(calls) == p.num_stages - 1
+
+    def test_source_arrays_do_not_leak_in(self, rng):
+        def cost(x, y):
+            return np.abs(x - y)
+
+        source = [rng.uniform(0, 5, 3) for _ in range(4)]
+        reference = NodeValueProblem(
+            values=tuple(v.copy() for v in source), edge_cost=cost
+        )
+        built = NodeValueProblem(values=tuple(source), edge_cost=cost)
+        digest = problem_digest(built)  # builds its costs now
+        lazy = NodeValueProblem(values=tuple(source), edge_cost=cost)
+        for v in source:
+            v[:] = -1.0
+        for p in (built, lazy):
+            for k in range(p.num_stages):
+                assert np.array_equal(p.values[k], reference.values[k])
+            for k in range(p.num_stages - 1):
+                assert np.array_equal(p.cost_matrix(k), reference.cost_matrix(k))
+            assert problem_digest(p) == problem_digest(reference)
+        assert digest == problem_digest(reference)
+
+    def test_copies_own_read_only_values(self, rng):
+        p = traffic_light_problem(rng, 4, 3)
+        digest = problem_digest(p)
+        for q in (copy.copy(p), copy.deepcopy(p)):
+            assert all(not v.flags.writeable for v in q.values)
+            assert problem_digest(q) == digest
+        # The generator's cost closure cannot be pickled; a module-level
+        # ufunc can, and unpickling goes through the constructor too.
+        r = pickle.loads(
+            pickle.dumps(NodeValueProblem(values=p.values, edge_cost=np.add))
+        )
+        assert all(not v.flags.writeable for v in r.values)
+
+
+class TestStructuralCopy:
+    def test_hits_are_independent_under_mutation(self, rng):
+        cache = SolveCache()
+        graph = uniform_multistage(rng, 4, 3)  # Fig. 3 route: ndarray solution
+        nv = traffic_light_problem(rng, 5, 4)  # Fig. 5 route: StagePath solution
+        first = solve_batch([graph, nv], cache=cache).reports
+        pipe_value = first[0].solution.copy()
+        feed_values = first[1].detail.final_stage_values.copy()
+
+        pipe, feed = solve_batch([graph, nv], cache=cache).reports
+        assert cache.stats.hits == 2
+        assert isinstance(pipe.solution, np.ndarray)
+        # Aliasing inside one hit matches deepcopy's.
+        assert pipe.solution is pipe.detail.value
+        assert feed.solution is feed.detail.path
+        deep = copy.deepcopy(first[1])
+        assert deep.solution is deep.detail.path
+
+        pipe.solution[...] = -1.0
+        feed.detail.final_stage_values[:] = -1.0
+        again = solve_batch([graph, nv], cache=cache).reports
+        for reports in (again, first):
+            assert np.array_equal(reports[0].solution, pipe_value)
+            assert np.array_equal(reports[1].detail.final_stage_values, feed_values)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.graphs import GraphError, MultistageGraph, NodeValueProblem, fig1a_graph, fig1b_problem
 from repro.semiring import MAX_PLUS, MIN_PLUS, chain_product
 
@@ -41,6 +42,12 @@ class TestConstruction:
         c = np.array([[1.0, np.inf], [np.inf, 2.0]])
         g = MultistageGraph(costs=(c,))
         assert g.num_edges() == 2
+
+    def test_nan_cost_rejected(self):
+        # A NaN cost would otherwise read as a missing edge under min-plus.
+        c = np.array([[1.0, np.nan], [2.0, 3.0]])
+        with pytest.raises(GraphError, match="NaN"):
+            MultistageGraph(costs=(c,))
 
 
 class TestPathOperations:
@@ -159,6 +166,35 @@ class TestNodeValueProblem:
         )
         with pytest.raises(GraphError, match="vectorized"):
             p.cost_matrix(0)
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(GraphError, match="NaN"):
+            NodeValueProblem(
+                values=([0.0, 1.0], [np.nan, 2.0], [0.0, 1.0]),
+                edge_cost=lambda x, y: (x - y) ** 2,
+            )
+
+    def test_nan_cost_rejected_when_built(self):
+        # Construction succeeds; building the costs (all layers at once)
+        # fails, and solve() reports it instead of reading NaN as a
+        # missing edge.
+        p = NodeValueProblem(
+            values=([0.0, 1.0], [2.0, 3.0], [0.0, 1.0]),
+            edge_cost=lambda x, y: np.where(x > y, np.nan, y - x),
+        )
+        with pytest.raises(GraphError, match="NaN in layer 1"):
+            p.cost_matrix(0)
+        with pytest.raises(GraphError, match="NaN"):
+            solve(p, backend="fast")
+
+    def test_values_and_costs_are_read_only(self):
+        p = NodeValueProblem(
+            values=([1.0, 2.0], [3.0, 4.0]), edge_cost=lambda x, y: x + y
+        )
+        with pytest.raises(ValueError):
+            p.values[0][0] = 5.0
+        with pytest.raises(ValueError):
+            p.cost_matrix(0)[0, 0] = 5.0
 
     def test_input_bandwidth_ratio(self):
         # The Section-3.2 claim: node form needs Σm vs Σm² words.
