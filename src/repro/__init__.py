@@ -55,6 +55,7 @@ from .core import (
     Recommendation,
     SolveReport,
     Structure,
+    ValidationError,
     classify,
     recommend,
     solve,
@@ -89,5 +90,6 @@ __all__ = [
     "Recommendation",
     "MatrixChainProblem",
     "SolveReport",
+    "ValidationError",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from .metrics import (
     summarize_report,
 )
 from .problem import MatrixChainProblem
-from .solver import SolveReport, solve
+from .solver import SolveReport, ValidationError, solve
 
 __all__ = [
     "Arity",
@@ -33,6 +33,7 @@ __all__ = [
     "recommend",
     "MatrixChainProblem",
     "SolveReport",
+    "ValidationError",
     "solve",
     "eq9_pu",
     "feedback_pu",

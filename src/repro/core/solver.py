@@ -9,7 +9,10 @@ oracle.
   broadcast array on request), falling back to the sequential sweep for
   shapes the linear arrays do not support (non-uniform interior stages).
 * **polyadic-serial** (many stages) → divide-and-conquer on
-  ``K = ⌈N/log₂N⌉`` arrays, the Theorem-1 optimal granularity.
+  ``K = ⌈N/log₂N⌉`` arrays, the Theorem-1 optimal granularity.  The
+  value comes from the Θ(N·m²) mat-vec chain on every backend; the
+  eq.-29 schedule counters come from the symbolic scheduler, and only
+  ``rtl`` also runs the Θ(N·m³) K-array product.
 * **monadic-nonserial** → variable elimination; for banded objectives
   also the Section-6.1 grouping transform onto a serial graph.
 * **polyadic-nonserial** (matrix-chain) → the serialized systolic
@@ -36,6 +39,7 @@ from ..dp import (
 )
 from ..dp.nonserial import NonserialObjective
 from ..graphs import MultistageGraph, NodeValueProblem
+from ..semiring import matvec
 from ..systolic import (
     BroadcastMatrixStringArray,
     BroadcastParenthesizer,
@@ -47,7 +51,14 @@ from ..systolic import (
 from .classification import DPClass, Recommendation, recommend
 from .problem import MatrixChainProblem
 
-__all__ = ["SolveReport", "solve"]
+__all__ = ["SolveReport", "ValidationError", "solve"]
+
+
+class ValidationError(AssertionError):
+    """A report's architecture result disagrees with its sequential oracle.
+
+    Subclasses :class:`AssertionError`, so handlers of that still catch it.
+    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,7 +86,7 @@ class SolveReport:
 
     def __post_init__(self) -> None:
         if not self.validated and not self._degraded_and_warned():
-            raise AssertionError(
+            raise ValidationError(
                 f"architecture result {self.optimum} disagrees with the "
                 f"sequential reference {self.reference}"
             )
@@ -85,8 +96,9 @@ class SolveReport:
         return self.faults is not None and self.faults.outcome == "detected"
 
 
-def _validated(a: float, b: float) -> bool:
-    return bool(np.isclose(a, b, rtol=1e-9, atol=1e-9))
+def _validated(a: Any, b: Any) -> bool:
+    """Scalars or arrays agree elementwise to 1e-9 (equal infinities agree)."""
+    return bool(np.all(np.isclose(a, b, rtol=1e-9, atol=1e-9)))
 
 
 def solve(
@@ -110,9 +122,12 @@ def solve(
     ``backend`` selects the array execution engine for every systolic
     path: ``"rtl"`` (cycle-accurate machine), ``"fast"`` (vectorized
     whole-array reductions with closed-form counters), or ``"auto"``
-    (fast, cross-validated against RTL on small instances).  Paths that
-    do not run a systolic array (sequential sweeps, variable
-    elimination, divide-and-conquer) ignore it.
+    (fast, cross-validated against RTL on small instances).  The
+    divide-and-conquer path computes its value with the Θ(N·m²) mat-vec
+    chain on every backend and reports the eq.-29 schedule counters in
+    ``detail``; only ``"rtl"`` also multiplies the matrix string on the
+    K scheduled arrays (``detail.product``) and checks it against the
+    chain.  Sequential sweeps and variable elimination ignore it.
 
     ``sinks`` are telemetry callables (``TraceEvent -> None``, e.g.
     :class:`~repro.telemetry.MetricsSink` or
@@ -294,7 +309,7 @@ def _solve_node_value(
             recommendation=rec,
         )
     if rec.dp_class is DPClass.POLYADIC_SERIAL:
-        return _solve_graph(problem.to_graph(), rec, "dnc", backend, sinks, strict)
+        return _solve_dnc(problem.to_graph(), rec, ref.optimum, backend)
     return SolveReport(
         dp_class=rec.dp_class,
         method="sequential-sweep",
@@ -335,26 +350,7 @@ def _solve_graph(
             method = "sequential"
 
     if method == "dnc":
-        mats = graph.as_matrices()
-        n = len(mats)
-        k = max(1, math.ceil(n / max(math.log2(n), 1.0)))
-        # The scheduler needs composable segments; pad shape handling by
-        # multiplying the raw string (shapes compose pairwise regardless).
-        sched = simulate_chain_product(
-            n, k, matrices=mats, semiring=graph.semiring
-        )
-        assert sched.product is not None
-        optimum = float(graph.semiring.add_reduce(sched.product, axis=None))
-        return SolveReport(
-            dp_class=DPClass.POLYADIC_SERIAL,
-            method=f"divide-and-conquer (K={k})",
-            optimum=optimum,
-            reference=ref.optimum,
-            validated=_validated(optimum, ref.optimum),
-            solution=sched.product,
-            detail=sched,
-            recommendation=rec,
-        )
+        return _solve_dnc(graph, rec, ref.optimum, backend)
     uniform = len(set(graph.stage_sizes)) == 1
     if method in ("pipelined", "broadcast") and (
         _graph_fits_linear_array(graph) or uniform
@@ -409,6 +405,48 @@ def _solve_graph(
         validated=True,
         solution=ref.path,
         detail=ref,
+        recommendation=rec,
+    )
+
+
+def _solve_dnc(
+    graph: MultistageGraph, rec: Recommendation, reference: float, backend: str
+) -> SolveReport:
+    """Section-4 divide-and-conquer over ``graph``'s matrix string.
+
+    The value is the right-to-left mat-vec chain, Θ(N·m²) and in the
+    sum order of :func:`~repro.dp.solve_backward`; ``solution`` is its
+    per-source vector.  ``detail`` is the eq.-29 schedule of ``K``
+    arrays: symbolic on ``fast``/``auto``, and on ``rtl`` the executed
+    Θ(N·m³) product, which must agree with the chain.
+    """
+    sr = graph.semiring
+    value = sr.ones(graph.stage_sizes[-1])
+    for cost in reversed(graph.costs):
+        value = matvec(sr, cost, value)
+    optimum = float(sr.add_reduce(value, axis=None))
+    validated = _validated(optimum, reference)
+
+    n = graph.num_layers
+    k = max(1, math.ceil(n / max(math.log2(n), 1.0)))
+    if backend == "rtl":
+        sched = simulate_chain_product(
+            n, k, matrices=graph.as_matrices(), semiring=sr
+        )
+        assert sched.product is not None
+        validated = validated and _validated(
+            sr.add_reduce(sched.product, axis=1), value
+        )
+    else:
+        sched = simulate_chain_product(n, k)
+    return SolveReport(
+        dp_class=DPClass.POLYADIC_SERIAL,
+        method=f"divide-and-conquer (K={k})",
+        optimum=optimum,
+        reference=reference,
+        validated=validated,
+        solution=value,
+        detail=sched,
         recommendation=rec,
     )
 

@@ -86,9 +86,9 @@ def solve_backward(graph: MultistageGraph) -> MonadicSolution:
         # candidate[i, j] = c_{i,j} ⊗ f(j); one ⊗⊕ step per edge.
         candidate = sr.mul(graph.costs[k], values[k + 1][None, :])
         decisions[k] = sr.add_argreduce(candidate, axis=1).astype(np.intp)
-        values[k] = np.take_along_axis(
-            candidate, decisions[k][:, None], axis=1
-        )[:, 0]
+        # ⊕ picks one of its operands, so the reduction equals the
+        # candidate the decision points at, without a gather.
+        values[k] = sr.add_reduce(candidate, axis=1)
         ops += sizes[k] * sizes[k + 1]
     optimum, start = _extract(sr, values[0])
     nodes = [start]
@@ -125,9 +125,7 @@ def solve_forward(graph: MultistageGraph) -> MonadicSolution:
         # candidate[j, i] = f(j) ⊗ c_{j,i}
         candidate = sr.mul(values[k - 1][:, None], graph.costs[k - 1])
         decisions[k] = sr.add_argreduce(candidate, axis=0).astype(np.intp)
-        values[k] = np.take_along_axis(
-            candidate, decisions[k][None, :], axis=0
-        )[0, :]
+        values[k] = sr.add_reduce(candidate, axis=0)
         ops += sizes[k - 1] * sizes[k]
     optimum, end = _extract(sr, values[-1])
     nodes = [end]

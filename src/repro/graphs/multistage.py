@@ -293,11 +293,21 @@ class NodeValueProblem:
         return self._cost_layers[k]
 
     def to_graph(self) -> MultistageGraph:
-        """Materialize the equivalent edge-cost multistage graph."""
-        return MultistageGraph(
-            costs=tuple(self.cost_matrix(k) for k in range(self.num_stages - 1)),
-            semiring=self.semiring,
-        )
+        """The equivalent edge-cost multistage graph, built once.
+
+        The graph's costs are the problem's read-only cost layers, so
+        every caller (oracle, divide-and-conquer route, fault harness)
+        shares one graph and one set of layers.
+        """
+        graph: MultistageGraph | None = vars(self).get("_graph")
+        if graph is None:
+            # Frozen dataclass: the memo goes straight into ``__dict__``,
+            # as ``cached_property`` does.
+            graph = vars(self)["_graph"] = MultistageGraph(
+                costs=tuple(self.cost_matrix(k) for k in range(self.num_stages - 1)),
+                semiring=self.semiring,
+            )
+        return graph
 
     def input_bandwidth(self) -> tuple[int, int]:
         """(node-value inputs, edge-cost inputs) for this instance.

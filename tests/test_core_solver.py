@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from repro import DPClass, MatrixChainProblem, solve
+import repro
+from repro import DPClass, MatrixChainProblem, ValidationError, solve
+from repro.core import solver as solver_mod
 from repro.dp import banded_objective, eliminate, solve_backward, solve_matrix_chain
 from repro.graphs import (
     StagePath,
@@ -148,6 +154,82 @@ class TestReport:
                 detail=None,
                 recommendation=rec,
             )
+
+
+def _count_calls(monkeypatch, fn, calls, key):
+    """Wrap ``fn`` at every ``repro`` import site that holds it."""
+
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "repro":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.fixture
+def dnc_calls(monkeypatch):
+    """Counts of semiring matmuls and oracle passes made during a test."""
+    calls = collections.Counter()
+    _count_calls(monkeypatch, repro.semiring.matrix.matmul, calls, "matmul")
+    # The oracle is called through the names the solver imports.
+    for name in ("solve_node_value", "solve_backward"):
+        _count_calls(monkeypatch, getattr(solver_mod, name), calls, "oracle")
+    return calls
+
+
+class TestDivideAndConquerRoute:
+    @staticmethod
+    def _problems(rng):
+        return [traffic_light_problem(rng, 30, 3), uniform_multistage(rng, 40, 3)]
+
+    @pytest.mark.parametrize("backend", ["fast", "auto"])
+    def test_fast_route_is_work_honest(self, rng, dnc_calls, backend):
+        for problem in self._problems(rng):
+            dnc_calls.clear()
+            rep = solve(problem, backend=backend)
+            assert rep.method.startswith("divide-and-conquer")
+            assert dnc_calls["matmul"] == 0
+            assert dnc_calls["oracle"] == 1
+            assert rep.detail.product is None
+            assert rep.solution.shape == (problem.stage_sizes[0],)
+
+    def test_rtl_route_still_multiplies_the_string(self, rng, dnc_calls):
+        for problem in self._problems(rng):
+            dnc_calls.clear()
+            rep = solve(problem, backend="rtl")
+            n = problem.num_stages - 1
+            assert dnc_calls["matmul"] == n - 1 == rep.detail.total_multiplications
+            assert dnc_calls["oracle"] == 1
+            assert rep.detail.product.shape == (
+                problem.stage_sizes[0], problem.stage_sizes[-1]
+            )
+            assert rep.validated
+
+    def test_product_disagreeing_with_chain_raises(self, rng, monkeypatch):
+        real = solver_mod.simulate_chain_product
+
+        def skewed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if res.product is None:
+                return res
+            product = res.product.copy()
+            product[-1] += 1.0  # one source's costs go up by one
+            return dataclasses.replace(res, product=product)
+
+        monkeypatch.setattr(solver_mod, "simulate_chain_product", skewed)
+        g = uniform_multistage(rng, 40, 3)
+        assert solve(g, backend="fast").validated  # no product to disagree
+        with pytest.raises(ValidationError, match="disagrees"):
+            solve(g, backend="rtl")
+
+    def test_validation_error_is_exported_assertion_error(self):
+        assert issubclass(ValidationError, AssertionError)
+        assert repro.ValidationError is repro.core.ValidationError is ValidationError
 
 
 class TestBroadcastPathDispatch:

@@ -14,7 +14,7 @@ from repro.graphs import (
     single_source_sink,
     uniform_multistage,
 )
-from repro.semiring import MAX_PLUS, PLUS_TIMES
+from repro.semiring import MAX_PLUS, MIN_PLUS, PLUS_TIMES
 
 
 class TestBackward:
@@ -124,3 +124,57 @@ class TestNodeValue:
         # h(x_N) must be the per-node shortest path from stage 1.
         assert len(sol.stage_values[-1]) == 4
         assert np.isclose(min(sol.stage_values[-1]), sol.optimum)
+
+
+def _gather_sweep(graph, backward):
+    """The sweep with values gathered at the decisions (``take_along_axis``)."""
+    sr, costs, n = graph.semiring, graph.costs, graph.num_stages
+    values = [None] * n
+    decisions = [None] * n
+    order = range(n - 2, -1, -1) if backward else range(1, n)
+    values[-1 if backward else 0] = sr.ones(graph.stage_sizes[-1 if backward else 0])
+    for k in order:
+        if backward:
+            cand = sr.mul(costs[k], values[k + 1][None, :])
+            decisions[k] = sr.add_argreduce(cand, axis=1).astype(np.intp)
+            values[k] = np.take_along_axis(cand, decisions[k][:, None], axis=1)[:, 0]
+        else:
+            cand = sr.mul(values[k - 1][:, None], costs[k - 1])
+            decisions[k] = sr.add_argreduce(cand, axis=0).astype(np.intp)
+            values[k] = np.take_along_axis(cand, decisions[k][None, :], axis=0)[0, :]
+    ends = values[0] if backward else values[-1]
+    nodes = [int(sr.add_argreduce(ends))]
+    for k in range(n - 1) if backward else range(n - 1, 0, -1):
+        nodes.append(int(decisions[k][nodes[-1]]))
+    return values, decisions, tuple(nodes if backward else nodes[::-1])
+
+
+class TestGatherFreeSweep:
+    """Reducing ⊕ directly gives the values, decisions and path of a gather."""
+
+    @staticmethod
+    def _graphs(rng):
+        # Tie-heavy: small integer costs, many equal candidates per cell.
+        for sizes in ([1, 4, 4, 4, 1], [3, 5, 2, 5, 3], [4] * 7):
+            for sr in (MIN_PLUS, MAX_PLUS):
+                costs = tuple(
+                    rng.integers(0, 3, (a, b)).astype(float)
+                    for a, b in zip(sizes, sizes[1:])
+                )
+                yield MultistageGraph(costs=costs, semiring=sr)
+        # Sparse: many missing (+inf) edges, some vertices unreachable.
+        for p in (0.3, 0.5):
+            yield random_multistage(rng, [3, 4, 4, 4, 2], edge_probability=p)
+
+    @pytest.mark.parametrize("backward", [True, False])
+    def test_matches_take_along_axis_reference(self, rng, backward):
+        for g in self._graphs(rng):
+            sol = solve_backward(g) if backward else solve_forward(g)
+            values, decisions, nodes = _gather_sweep(g, backward)
+            for got, want in zip(sol.stage_values, values):
+                np.testing.assert_array_equal(got, want)
+            defined = range(g.num_stages - 1) if backward else range(1, g.num_stages)
+            for k in defined:
+                np.testing.assert_array_equal(sol.decisions[k], decisions[k])
+            assert sol.path.nodes == nodes
+            assert np.isclose(sol.optimum, g.path_cost(nodes))

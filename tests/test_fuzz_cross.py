@@ -13,14 +13,18 @@ generator seed to replay.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from repro import solve, solve_batch
 from repro.dnc import simulate_chain_product
 from repro.dp import solve_backward, solve_forward, solve_polyadic
-from repro.graphs import MultistageGraph, random_multistage
+from repro.graphs import MultistageGraph, NodeValueProblem, random_multistage
 from repro.search import branch_and_bound
 from repro.semiring import MAX_PLUS, MIN_PLUS, PLUS_TIMES, chain_product
 from repro.systolic import (
@@ -266,3 +270,70 @@ def test_fuzz_auto_backend_matches_both(seed, n_layers, m):
     fast = arr.run(mats, backend="fast")
     assert auto.report.backend == "fast"
     assert np.array_equal(np.asarray(auto.value), np.asarray(fast.value))
+
+
+def _dnc_problem(rng, kind, sr, sizes, prob):
+    """A graph, or a node-value problem whose far-apart values share no edge."""
+    if kind == "graph":
+        return random_multistage(rng, sizes, semiring=sr, edge_probability=prob)
+    values = tuple(rng.integers(0, 6, s).astype(float) for s in sizes)
+    limit = 6.0 * prob  # prob = 1 keeps every edge
+
+    def cost(a, b):
+        d = np.abs(a - b)
+        # Ties (integer steps), negative costs and missing edges.
+        return np.where(d > limit, sr.zero, np.round(1.5 * d, 1) - 2.0)
+
+    return NodeValueProblem(values=values, edge_cost=cost, semiring=sr)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    kind=st.sampled_from(["graph", "node_value"]),
+    semiring=st.sampled_from([MIN_PLUS, MAX_PLUS]),
+    single_source=st.booleans(),
+    m=st.integers(min_value=1, max_value=4),
+    n_stages=st.integers(min_value=2, max_value=24),
+    prob=st.floats(min_value=0.4, max_value=1.0),
+)
+@settings(max_examples=40, deadline=None, derandomize=True, print_blob=True)
+def test_fuzz_dnc_route_backends_agree(
+    seed, kind, semiring, single_source, m, n_stages, prob
+):
+    note(f"instance seed={seed}")
+    rng = np.random.default_rng(seed)
+    if kind == "node_value":
+        n_stages = max(n_stages, 4 * m + 1)  # polyadic: N > 4·m routes to dnc
+    sizes = [m] * n_stages
+    if single_source:
+        sizes[0] = sizes[-1] = 1
+    problem = _dnc_problem(rng, kind, semiring, sizes, prob)
+    graph = problem.to_graph() if kind == "node_value" else problem
+    n = graph.num_layers
+    schedule = simulate_chain_product(n, max(1, math.ceil(n / max(math.log2(n), 1.0))))
+
+    reports = {b: solve(problem, prefer="dnc", backend=b) for b in ("fast", "auto", "rtl")}
+    fast = reports["fast"]
+    assert fast.optimum == solve_backward(graph).optimum
+    for backend, rep in reports.items():
+        assert rep.method.startswith("divide-and-conquer")
+        assert rep.validated
+        assert np.float64(rep.optimum).tobytes() == np.float64(fast.optimum).tobytes()
+        assert rep.solution.tobytes() == fast.solution.tobytes()
+        for field in dataclasses.fields(schedule):
+            if field.name != "product":
+                assert getattr(rep.detail, field.name) == getattr(schedule, field.name)
+        if backend == "rtl":
+            per_source = semiring.add_reduce(rep.detail.product, axis=1)
+            assert np.isclose(per_source, rep.solution, rtol=1e-9, atol=1e-9).all()
+        else:
+            assert rep.detail.product is None
+
+    for backend in ("fast", "rtl"):
+        batched = solve_batch([problem, graph], prefer="dnc", backend=backend)
+        for rep, single in zip(batched, (problem, graph)):
+            ref = solve(single, prefer="dnc", backend=backend)
+            assert rep.method == ref.method
+            assert rep.optimum == ref.optimum
+            assert rep.solution.tobytes() == ref.solution.tobytes()
+            assert rep.detail.rounds == ref.detail.rounds

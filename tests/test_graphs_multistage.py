@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,32 @@ class TestNodeValueProblem:
         g = p.to_graph()
         assert g.num_stages == p.num_stages
         assert g.stage_sizes == p.stage_sizes
+
+    def test_to_graph_is_built_once(self):
+        p = fig1b_problem()
+        g = p.to_graph()
+        assert p.to_graph() is g
+        # The graph aliases the problem's read-only cost layers.
+        for k, c in enumerate(g.costs):
+            assert c is p.cost_matrix(k)
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0, 0] = 5.0
+
+    def test_copies_rebuild_to_graph_with_empty_cache(self):
+        p = NodeValueProblem(
+            values=([1.0, 2.0], [3.0, 4.0], [0.0, 5.0]), edge_cost=np.subtract
+        )
+        g = p.to_graph()
+        for q in (
+            copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)),
+        ):
+            assert "_graph" not in vars(q)
+            h = q.to_graph()
+            assert h is not g and q.to_graph() is h
+            assert all(not c.flags.writeable for c in h.costs)
+            for a, b in zip(h.costs, g.costs):
+                np.testing.assert_array_equal(a, b)
 
     def test_nonuniform_stages(self):
         p = NodeValueProblem(
