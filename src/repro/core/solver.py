@@ -39,7 +39,6 @@ from ..dp import (
 )
 from ..dp.nonserial import NonserialObjective
 from ..graphs import MultistageGraph, NodeValueProblem
-from ..semiring import matvec
 from ..systolic import (
     BroadcastMatrixStringArray,
     BroadcastParenthesizer,
@@ -48,6 +47,7 @@ from ..systolic import (
     PipelinedMatrixStringArray,
     SystolicParenthesizer,
 )
+from ..systolic.pipelined_array import _matvec_chain
 from .classification import DPClass, Recommendation, recommend
 from .problem import MatrixChainProblem
 
@@ -249,7 +249,10 @@ def _solve_faulty(
             "fig4-broadcast-array" if prefer == "broadcast" else "fig3-pipelined-array"
         )
     elif isinstance(problem, MatrixChainProblem):
-        harness = flt.ParenHarness(problem.dims)
+        harness = flt.ParenHarness(
+            problem.dims,
+            BroadcastParenthesizer if prefer == "broadcast" else SystolicParenthesizer,
+        )
         ref = float(solve_matrix_chain(problem.dims).cost)
         extract = lambda res: (float(res.order.cost), res.order)  # noqa: E731
         method = harness.array.design_name
@@ -294,7 +297,8 @@ def _solve_node_value(
     strict: bool = False,
 ) -> SolveReport:
     ref = solve_node_value(problem)
-    if problem.is_uniform and rec.dp_class is DPClass.MONADIC_SERIAL:
+    route = _route(problem, rec, None)
+    if route == "feedback":
         res = FeedbackSystolicArray(problem.semiring).run(
             problem, backend=backend, sinks=sinks, strict=strict
         )
@@ -308,7 +312,7 @@ def _solve_node_value(
             detail=res,
             recommendation=rec,
         )
-    if rec.dp_class is DPClass.POLYADIC_SERIAL:
+    if route == "dnc":
         return _solve_dnc(problem.to_graph(), rec, ref.optimum, backend)
     return SolveReport(
         dp_class=rec.dp_class,
@@ -331,6 +335,37 @@ def _graph_fits_linear_array(graph: MultistageGraph) -> bool:
     return len(set(interior)) == 1
 
 
+def _route(
+    problem: NodeValueProblem | MultistageGraph,
+    rec: Recommendation,
+    prefer: str | None,
+) -> str:
+    """The architecture ``solve()`` runs a serial problem on.
+
+    One of ``"feedback"`` (Fig. 5), ``"pipelined"`` (Fig. 3),
+    ``"broadcast"`` (Fig. 4), ``"dnc"`` or ``"sequential"``.  Batch
+    grouping (:mod:`repro.exec.grouping`) asks the same question, so a
+    batch and a looped ``solve()`` put every problem on the same route.
+    ``prefer`` applies to edge-cost graphs only.  Graphs that are not
+    linear-array-shaped but have uniform stages run on the arrays after
+    framing with zero-cost virtual terminals.
+    """
+    if isinstance(problem, NodeValueProblem):
+        if rec.dp_class is DPClass.POLYADIC_SERIAL:
+            return "dnc"
+        return "feedback" if problem.is_uniform else "sequential"
+    method = prefer
+    if method is None:
+        method = "dnc" if rec.dp_class is DPClass.POLYADIC_SERIAL else "pipelined"
+    if method == "dnc":
+        return method
+    if method in ("pipelined", "broadcast") and (
+        _graph_fits_linear_array(problem) or len(set(problem.stage_sizes)) == 1
+    ):
+        return method
+    return "sequential"
+
+
 def _solve_graph(
     graph: MultistageGraph,
     rec: Recommendation,
@@ -340,21 +375,10 @@ def _solve_graph(
     strict: bool = False,
 ) -> SolveReport:
     ref = solve_backward(graph)
-    method = prefer
-    if method is None:
-        if rec.dp_class is DPClass.POLYADIC_SERIAL:
-            method = "dnc"
-        elif _graph_fits_linear_array(graph) or len(set(graph.stage_sizes)) == 1:
-            method = "pipelined"
-        else:
-            method = "sequential"
-
+    method = _route(graph, rec, prefer)
     if method == "dnc":
         return _solve_dnc(graph, rec, ref.optimum, backend)
-    uniform = len(set(graph.stage_sizes)) == 1
-    if method in ("pipelined", "broadcast") and (
-        _graph_fits_linear_array(graph) or uniform
-    ):
+    if method in ("pipelined", "broadcast"):
         array: Any = (
             PipelinedMatrixStringArray(graph.semiring)
             if method == "pipelined"
@@ -421,9 +445,7 @@ def _solve_dnc(
     Θ(N·m³) product, which must agree with the chain.
     """
     sr = graph.semiring
-    value = sr.ones(graph.stage_sizes[-1])
-    for cost in reversed(graph.costs):
-        value = matvec(sr, cost, value)
+    value = _matvec_chain(sr, graph.costs, sr.ones(graph.stage_sizes[-1]))
     optimum = float(sr.add_reduce(value, axis=None))
     validated = _validated(optimum, reference)
 

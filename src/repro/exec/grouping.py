@@ -1,13 +1,12 @@
 """Partition a batch of problems into same-kernel, same-shape groups.
 
-The batch engine mirrors the Table-1 dispatch of
-:func:`repro.core.solver.solve` *statically*: every problem is
-classified, and problems that ``solve()`` would send to the same fast
-systolic kernel with the same shape are grouped so one stacked 3-D
-semiring pass (:mod:`repro.exec.vectorized`) can carry the whole group.
-Everything else lands in scalar groups that loop ``solve()`` —
-partitioned by whether the problems are picklable, since only picklable
-scalar groups can be shipped to a worker process.
+Every problem is classified and put on its route by the same function
+``solve()`` uses (:func:`repro.core.solver._route`); problems routed to
+the same fast systolic kernel with the same shape are grouped so one
+stacked pass of that kernel (:mod:`repro.exec.vectorized`) carries the
+whole group.  Everything else lands in scalar groups that loop
+``solve()`` — partitioned by whether the problems are picklable, since
+only picklable scalar groups can be shipped to a worker process.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from ..core.classification import DPClass, Recommendation, recommend
+from ..core.classification import Recommendation, recommend
 from ..core.problem import MatrixChainProblem
-from ..core.solver import _graph_fits_linear_array
+from ..core.solver import _route
 from ..graphs import MultistageGraph, NodeValueProblem
 
 __all__ = ["Group", "group_problems", "VECTORIZED_KINDS"]
@@ -42,31 +41,21 @@ class Group:
 
 
 def _plan(problem: object, rec: Recommendation, prefer: str | None) -> tuple[str, tuple[Any, ...], bool]:
-    """(kind, group key, picklable) for one problem, mirroring ``solve()``."""
-    if isinstance(problem, NodeValueProblem):
-        # ``edge_cost`` is frequently a closure, so node-value problems
-        # are conservatively treated as unpicklable; their *vectorized*
-        # payloads (materialized cost matrices) still ship fine.
-        if problem.is_uniform and rec.dp_class is DPClass.MONADIC_SERIAL:
+    """(kind, group key, picklable) for one problem, on ``solve()``'s route."""
+    if isinstance(problem, (NodeValueProblem, MultistageGraph)):
+        route = _route(problem, rec, prefer)
+        if route == "feedback":
             key = ("feedback", problem.num_stages, problem.stage_sizes[0],
                    problem.semiring.name)
             return "feedback", key, True
-        return "scalar", ("scalar", False), False
-    if isinstance(problem, MultistageGraph):
-        method = prefer
-        if method is None:
-            if rec.dp_class is DPClass.POLYADIC_SERIAL:
-                method = "dnc"
-            elif _graph_fits_linear_array(problem) or len(set(problem.stage_sizes)) == 1:
-                method = "pipelined"
-            else:
-                method = "sequential"
-        if method == "pipelined" and (
-            _graph_fits_linear_array(problem) or len(set(problem.stage_sizes)) == 1
-        ):
+        if route == "pipelined":
             key = ("pipelined", problem.stage_sizes, problem.semiring.name)
             return "pipelined", key, True
-        return "scalar", ("scalar", True), True
+        # ``edge_cost`` is frequently a closure, so node-value problems
+        # are conservatively treated as unpicklable; their *vectorized*
+        # payloads (materialized cost matrices) still ship fine.
+        picklable = isinstance(problem, MultistageGraph)
+        return "scalar", ("scalar", picklable), picklable
     if isinstance(problem, MatrixChainProblem):
         return "scalar", ("scalar", True), True
     return "scalar", ("scalar", False), False

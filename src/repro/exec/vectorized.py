@@ -1,27 +1,27 @@
-"""Stacked multi-instance kernels for the batch engine.
+"""Stacked multi-instance execution for the batch engine.
 
-Each kernel here is the *batched* twin of one per-design fast backend:
-the same NumPy reduction, with a leading batch axis, applied to a whole
-group of same-shape instances at once.  Bit-identity with the looped
-path is a hard requirement (the cross-backend fuzz suite asserts exact
-equality), so every reduction uses exactly the operand order and axes of
-the unbatched kernel:
+Each design has one fast kernel, written over ``...`` leading axes in
+its own module, and this module feeds it a stack of ``B`` same-shape
+instances instead of one:
 
 * **Fig. 5 feedback** — the stage recurrence of
-  :meth:`~repro.systolic.feedback_array.FeedbackSystolicArray._run_fast`:
-  ``cand = mul(h[:, :, None], C)`` reduced (and arg-reduced) along the
-  predecessor axis, per stage.  NumPy's arg-reductions keep the
-  first-occurrence tie-break per batch row, so traced paths match too.
+  :mod:`repro.systolic.feedback_array`: ``cand = mul(h[..., :, None], C)``
+  reduced (and arg-reduced) along ``axis=-2``, per stage.  NumPy's
+  arg-reductions keep the first-occurrence tie-break per batch row, so
+  traced paths match too.
 * **Fig. 3 pipelined** — the right-to-left mat-vec chain of
-  :meth:`~repro.systolic.pipelined_array.PipelinedMatrixStringArray._run_fast`
-  via :func:`repro.semiring.batched_matvec`.
+  :mod:`repro.systolic.pipelined_array` via
+  :func:`repro.semiring.batched_matvec`.
 
-Both kernels are driven through picklable *payloads* (plain dicts of
-stacked ``ndarray``s plus the semiring name), so the same code runs
-in-process and inside pool workers: a group is prepared once, optionally
-sliced into shards, and each shard executes independently.  Reports come
-back with the fast backend's closed-form counters — identical to what a
-looped ``solve(backend="fast")`` reports per instance.
+``solve()`` runs the same kernel body on 2-D operands, so a batch row
+is bit-identical to a looped ``solve(backend="fast")`` — optimum, traced
+path and closed-form counters included (the cross-backend fuzz suite
+asserts exact equality).  This module holds only the plumbing around
+the kernels: picklable *payloads* (plain dicts of stacked ``ndarray``s
+plus the semiring name), so the same code runs in-process and inside
+pool workers — a group is prepared once, optionally sliced into shards,
+and each shard executes independently — and the per-row report
+assembly.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from typing import Any
 import numpy as np
 
 from ..core.solver import SolveReport
-from ..graphs import MultistageGraph, NodeValueProblem, StagePath, add_virtual_terminals
+from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
 from ..graphs.multistage import GraphError
-from ..semiring import batched_matvec, by_name
-from ..systolic.fabric import RunReport
-from ..systolic.feedback_array import FeedbackArrayResult
-from ..systolic.pipelined_array import PipelinedArrayResult
+from ..semiring import by_name
+from ..systolic.feedback_array import _fast_kernel as feedback_kernel
+from ..systolic.pipelined_array import _fast_kernel as pipelined_kernel
 from .grouping import Group
 
 __all__ = [
@@ -129,123 +128,30 @@ def _run_feedback(payload: dict[str, Any]) -> list[SolveReport]:
     sr = by_name(payload["semiring"])
     if sr.add_argreduce is None:  # pragma: no cover - all stock semirings have one
         raise GraphError(f"semiring {sr.name!r} has no arg-reduction")
-    n_stages = int(payload["n_stages"])
-    m = int(payload["m"])
-    layers = [sr.asarray(a) for a in payload["layers"]]
-    recs = payload["recommendations"]
-    batch = layers[0].shape[0] if layers else len(recs)
-
-    # Stage recurrence with a leading batch axis; per batch row this is
-    # exactly the unbatched ``mul(h[:, None], C)`` reduced along axis 0.
-    h = np.full((batch, m), sr.one, dtype=float)
-    preds: dict[int, np.ndarray] = {}
-    for k in range(2, n_stages + 1):
-        cand = sr.mul(h[:, :, None], layers[k - 2])
-        preds[k] = np.asarray(sr.add_argreduce(cand, axis=1), dtype=np.intp)
-        h = sr.add_reduce(cand, axis=1)
-    optima = sr.add_reduce(h, axis=1)
-    best_final = np.asarray(sr.add_argreduce(h, axis=1), dtype=np.intp)
-
-    total_iterations = (n_stages + 1) * m
-    serial_ops = (n_stages - 1) * m * m + m
-    ops = tuple((n_stages - 1) * m + (m - i) for i in range(m))
-    report = RunReport(
-        design="fig5-feedback",
-        num_pes=m,
-        iterations=total_iterations,
-        wall_ticks=total_iterations,
-        pe_busy_ticks=ops,
-        pe_op_counts=ops,
-        serial_ops=serial_ops,
-        input_words=n_stages * m,
-        output_words=m + 1,
-        broadcast_words=2 * n_stages * m,
-        backend="fast",
-    )
-
-    reports: list[SolveReport] = []
-    for b in range(batch):
-        optimum = float(optima[b])
-        nodes = [0] * n_stages
-        nodes[n_stages - 1] = int(best_final[b])
-        for k in range(n_stages, 1, -1):
-            nodes[k - 2] = int(preds[k][b, nodes[k - 1]])
-        path = StagePath(nodes=tuple(nodes), cost=optimum)
-        detail = FeedbackArrayResult(
-            optimum=optimum,
-            path=path,
-            final_stage_values=sr.asarray(h[b]),
-            report=report,
+    results = feedback_kernel(sr, [sr.asarray(a) for a in payload["layers"]])
+    return [
+        SolveReport(
+            dp_class=rec.dp_class,
+            method="fig5-feedback-array",
+            optimum=res.optimum,
+            reference=res.optimum,
+            validated=True,
+            solution=res.path,
+            detail=res,
+            recommendation=rec,
         )
-        rec = recs[b]
-        reports.append(
-            SolveReport(
-                dp_class=rec.dp_class,
-                method="fig5-feedback-array",
-                optimum=optimum,
-                reference=optimum,
-                validated=True,
-                solution=path,
-                detail=detail,
-                recommendation=rec,
-            )
-        )
-    return reports
+        for res, rec in zip(results, payload["recommendations"])
+    ]
 
 
 def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
     sr = by_name(payload["semiring"])
     mats = [sr.asarray(a) for a in payload["mats"]]
-    recs = payload["recommendations"]
-    batch = mats[0].shape[0]
-
-    # Mirror ``_normalize_string``: the last operand is the sink column.
-    vec = mats[-1][:, :, 0]  # (B, m)
-    m = vec.shape[1]
-    chain = mats[:-1]
-    value = vec
-    for a in reversed(chain):
-        value = batched_matvec(sr, a, value)
-    is_row_vector = chain[0].shape[1] == 1 and m > 1
-
-    num_phases = len(chain)
-    serial_ops = int(sum(a.shape[1] * a.shape[2] for a in chain))
-    ops = [0] * m
-    for phase in range(num_phases):
-        a = chain[num_phases - 1 - phase]
-        if a.shape[1] == 1 and m > 1:
-            if phase % 2 == 0:
-                ops[0] += m
-            else:
-                for i in range(m):
-                    ops[i] += 1
-        else:
-            for i in range(m):
-                ops[i] += m
-    out_words = 1 if is_row_vector else int(value.shape[1])
-    report = RunReport(
-        design="fig3-pipelined",
-        num_pes=m,
-        iterations=num_phases * m,
-        wall_ticks=num_phases * m + (m - 1),
-        pe_busy_ticks=tuple(ops),
-        pe_op_counts=tuple(ops),
-        serial_ops=serial_ops,
-        input_words=m + serial_ops,
-        output_words=out_words,
-        broadcast_words=0,
-        backend="fast",
-    )
-
-    reports: list[SolveReport] = []
-    for b in range(batch):
-        if is_row_vector:
-            inst_value = sr.asarray(float(value[b, 0]))
-        else:
-            inst_value = sr.asarray(value[b])
-        optimum = float(sr.add_reduce(np.asarray(inst_value), axis=None))
-        detail = PipelinedArrayResult(value=inst_value, report=report)
-        rec = recs[b]
+    # As ``_normalize_string``: the last operand is the sink column.
+    results = pipelined_kernel(sr, mats[:-1], mats[-1][..., 0])
+    reports = []
+    for res, rec in zip(results, payload["recommendations"]):
+        optimum = float(sr.add_reduce(np.asarray(res.value), axis=None))
         reports.append(
             SolveReport(
                 dp_class=rec.dp_class,
@@ -253,8 +159,8 @@ def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
                 optimum=optimum,
                 reference=optimum,
                 validated=True,
-                solution=inst_value,
-                detail=detail,
+                solution=res.value,
+                detail=res,
                 recommendation=rec,
             )
         )

@@ -36,6 +36,7 @@ from ..dp import solve_matrix_chain, solve_node_value
 from ..semiring import MIN_PLUS, Semiring, chain_product, matmul
 from ..systolic import (
     BroadcastMatrixStringArray,
+    BroadcastParenthesizer,
     FeedbackSystolicArray,
     MeshMatrixMultiplier,
     PipelinedMatrixStringArray,
@@ -450,10 +451,16 @@ class ParenHarness(DesignHarness):
     design = "paren"
     registers = ("M",)
 
-    def __init__(self, dims: tuple[int, ...]):
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        parenthesizer: type[SystolicParenthesizer | BroadcastParenthesizer] = (
+            SystolicParenthesizer
+        ),
+    ):
         super().__init__()
         self.dims = tuple(int(d) for d in dims)
-        self.array = SystolicParenthesizer()
+        self.array = parenthesizer()
 
     def run(self, **kw: Any) -> Any:
         return self.array.run(self.dims, **kw)

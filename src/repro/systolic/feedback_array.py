@@ -41,12 +41,14 @@ stage recurrence ``h_k = h_{k-1} ⊗ C_{k-1}`` as one whole-array semiring
 reduction per stage (with ``add_argreduce`` standing in for the path
 registers), then reports the schedule's closed-form counters: the same
 ``(N+1)·m`` iterations, ``(N−1)·m² + m`` serial ops, and bus traffic.
+The same kernel runs a stack of same-shape instances for the batch
+engine (:mod:`repro.exec.vectorized`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -95,11 +97,85 @@ class FeedbackArrayResult:
     stage_values: tuple[np.ndarray, ...] = ()
 
 
+def _serial_ops(n_stages: int, m: int) -> int:
+    """Uniprocessor operations of ``N`` stages of ``m`` values: ``(N−1)·m² + m``."""
+    return (n_stages - 1) * m * m + m
+
+
 def feedback_pu(num_stages: int, m: int) -> float:
     """The paper's PU expression for this design:
     ``((N-1)·m² + m) / ((N+1)·m·m)`` for ``N`` stages of ``m`` values."""
-    n = num_stages
-    return ((n - 1) * m * m + m) / ((n + 1) * m * m)
+    return _serial_ops(num_stages, m) / ((num_stages + 1) * m * m)
+
+
+def _fast_report(n_stages: int, m: int) -> RunReport:
+    """The schedule's closed-form counters for ``N`` stages of ``m`` values."""
+    iterations = (n_stages + 1) * m
+    # Every PE serves all m pairs of stages 2..N; of the final F = 0
+    # sweep, pair j reaches PE i only while N·m + j + i ≤ (N+1)·m,
+    # i.e. PE i sees m − i of them before the schedule ends.
+    ops = tuple((n_stages - 1) * m + (m - i) for i in range(m))
+    return RunReport(
+        design=FeedbackSystolicArray.design_name,
+        num_pes=m,
+        iterations=iterations,
+        wall_ticks=iterations,
+        pe_busy_ticks=ops,
+        pe_op_counts=ops,
+        serial_ops=_serial_ops(n_stages, m),
+        input_words=n_stages * m,
+        output_words=m + 1,
+        broadcast_words=2 * n_stages * m,
+        backend="fast",
+    )
+
+
+def _fast_kernel(
+    sr: Semiring, layers: Sequence[np.ndarray]
+) -> list[FeedbackArrayResult]:
+    """The fast backend on one instance or on a stack of them.
+
+    ``layers`` are the ``N − 1`` cost matrices, each ``(..., m, m)``:
+    2-D for one instance, ``(B, m, m)`` for a stack of ``B``.  Stage
+    recurrence: ``h_1 = 1̄``; ``h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j]``.  The
+    argreduce along the predecessor axis is exactly the path register:
+    the first PE index achieving the folded optimum, the same tie-break
+    as the moving pair's strict-improvement update.  Each instance of a
+    stack goes through the same operations as it would alone, so its
+    result is bit-identical.  Returns one result per instance, in
+    row-major order of the leading axes.
+    """
+    n_layers = len(layers)
+    lead, m = layers[0].shape[:-2], layers[0].shape[-1]
+    h = np.full(lead + (m,), sr.one, dtype=float)
+    registers = np.empty((n_layers,) + lead + (m,), dtype=np.intp)
+    for k, layer in enumerate(layers):
+        cand = sr.mul(h[..., :, None], layer)
+        registers[k] = sr.add_argreduce(cand, axis=-2)
+        h = sr.add_reduce(cand, axis=-2)
+    rows = h.reshape(-1, m)
+    optima = sr.add_reduce(rows, axis=-1).tolist()
+    winners = sr.add_argreduce(rows, axis=-1).tolist()
+    # One flat list, not one list per register: fewer objects for the
+    # garbage collector to track on large stacks.
+    flat = registers.ravel().tolist()
+    count = len(optima)
+    report = _fast_report(n_layers + 1, m)
+    results: list[FeedbackArrayResult] = []
+    for i, (final_h, optimum, winner) in enumerate(zip(rows, optima, winners)):
+        # Trace the path registers back from the final stage's winner.
+        nodes = [winner]
+        for k in range(n_layers - 1, -1, -1):
+            nodes.append(flat[(k * count + i) * m + nodes[-1]])
+        results.append(
+            FeedbackArrayResult(
+                optimum=optimum,
+                path=StagePath(nodes=tuple(reversed(nodes)), cost=optimum),
+                final_stage_values=final_h,
+                report=report,
+            )
+        )
+    return results
 
 
 class FeedbackSystolicArray:
@@ -157,15 +233,14 @@ class FeedbackSystolicArray:
             observe = injector is not None
         n_stages = problem.num_stages
         m = problem.stage_sizes[0]
-        work = (n_stages - 1) * m * m + m
         return run_with_backend(
             resolved,
-            work=work,
+            work=_serial_ops(n_stages, m),
             rtl=lambda: self._run_rtl(
                 problem, n_stages, m, record_trace=record_trace, sinks=sinks,
                 injector=injector, observe=bool(observe), strict=strict,
             ),
-            fast=lambda: self._run_fast(problem, n_stages, m),
+            fast=lambda: _fast_kernel(sr, problem.to_graph().costs)[0],
             validate=self._validate,
             design=self.design_name,
         )
@@ -353,8 +428,9 @@ class FeedbackSystolicArray:
             nodes[k - 2] = path_registers[k][nodes[k - 1]]
         path = StagePath(nodes=tuple(nodes), cost=float(optimum))
 
-        serial_ops = (n_stages - 1) * m * m + m
-        report = machine.finalize(iterations=total_iterations, serial_ops=serial_ops)
+        report = machine.finalize(
+            iterations=total_iterations, serial_ops=_serial_ops(n_stages, m)
+        )
         return FeedbackArrayResult(
             optimum=float(optimum),
             path=path,
@@ -365,57 +441,4 @@ class FeedbackSystolicArray:
             stage_values=(
                 tuple(sr.asarray(v) for v in stage_h) if stage_h is not None else ()
             ),
-        )
-
-    # ------------------------------------------------------------------
-    # Fast backend
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self, problem: NodeValueProblem, n_stages: int, m: int
-    ) -> FeedbackArrayResult:
-        sr = self.sr
-        # Stage recurrence: h_1 = 1̄; h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j].
-        # The argreduce along the predecessor axis is exactly the path
-        # register: the first PE index achieving the folded optimum, the
-        # same tie-break as the moving pair's strict-improvement update.
-        h = np.full(m, sr.one, dtype=float)
-        preds: dict[int, np.ndarray] = {}
-        for k in range(2, n_stages + 1):
-            cand = sr.mul(h[:, None], problem.cost_matrix(k - 2))
-            preds[k] = np.asarray(sr.add_argreduce(cand, axis=0), dtype=np.intp)
-            h = sr.add_reduce(cand, axis=0)
-        final_h = sr.asarray(h)
-        optimum = float(sr.add_reduce(h))
-        best_final_index = int(sr.add_argreduce(h))
-
-        nodes = [0] * n_stages
-        nodes[n_stages - 1] = best_final_index
-        for k in range(n_stages, 1, -1):
-            nodes[k - 2] = int(preds[k][nodes[k - 1]])
-        path = StagePath(nodes=tuple(nodes), cost=optimum)
-
-        total_iterations = (n_stages + 1) * m
-        serial_ops = (n_stages - 1) * m * m + m
-        # Every PE serves all m pairs of stages 2..N; of the final F = 0
-        # sweep, pair j reaches PE i only while N·m + j + i ≤ (N+1)·m,
-        # i.e. PE i sees m − i of them before the schedule ends.
-        ops = tuple((n_stages - 1) * m + (m - i) for i in range(m))
-        report = RunReport(
-            design=self.design_name,
-            num_pes=m,
-            iterations=total_iterations,
-            wall_ticks=total_iterations,
-            pe_busy_ticks=ops,
-            pe_op_counts=ops,
-            serial_ops=serial_ops,
-            input_words=n_stages * m,
-            output_words=m + 1,
-            broadcast_words=2 * n_stages * m,
-            backend="fast",
-        )
-        return FeedbackArrayResult(
-            optimum=optimum,
-            path=path,
-            final_stage_values=final_h,
-            report=report,
         )

@@ -28,20 +28,23 @@ stitched with the exact data hand-offs of the overlapped schedule (MOVE
 for A→B, the P_m→P_1 feedback stream for B→A), so computed values and
 per-PE iteration counts match the hardware exactly.  The fast backend
 evaluates the same string with whole-array semiring reductions
-(:func:`repro.semiring.matvec`) and reports the schedule's closed-form
-counters; ``backend="auto"`` cross-validates the two on small instances.
+(:func:`repro.semiring.batched_matvec`, which on 2-D operands performs
+exactly :func:`~repro.semiring.matvec`'s operations) and reports the
+schedule's closed-form counters; the batch engine
+(:mod:`repro.exec.vectorized`) runs the same kernel on a stack of
+same-shape strings.  ``backend="auto"`` cross-validates fast against
+RTL on small instances.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..graphs import MultistageGraph
-from ..semiring import MIN_PLUS, Semiring
-from ..semiring.matrix import matvec
+from ..semiring import MIN_PLUS, Semiring, batched_matvec
 from .fabric import (
     BackendMismatch,
     RunReport,
@@ -108,6 +111,75 @@ def _normalize_string(
             f"leftmost operand must have 1 or {m} rows, got {mats[0].shape}"
         )
     return mats[:-1], last, m
+
+
+def _matvec_chain(
+    sr: Semiring, mats: Sequence[np.ndarray], vec: np.ndarray
+) -> np.ndarray:
+    """``mats[0] ⊗ (mats[1] ⊗ (… ⊗ vec))``, right to left, over any leading
+    axes: the Fig. 3 value, and the divide-and-conquer route's value in
+    :func:`repro.core.solver.solve`."""
+    value = vec
+    for mat in reversed(mats):
+        value = batched_matvec(sr, mat, value)
+    return value
+
+
+def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
+    """The overlapped schedule's closed-form counters on ``m`` PEs for a
+    string of ``num_phases`` operands whose leftmost has ``rows`` rows:
+    ``m`` iterations per phase, an ``m−1``-tick drain, one input word per
+    matrix element plus the initial vector."""
+    serial_ops = (num_phases - 1) * m * m + rows * m
+    # Every m × m phase keeps each PE busy for m steps.  A leftmost row
+    # vector is the last phase: with a moving input (even phase) P1
+    # alone does all m steps; otherwise one moving partial visits every
+    # PE once.
+    row_vector = rows == 1 and m > 1
+    ops = [(num_phases - row_vector) * m] * m
+    if row_vector and (num_phases - 1) % 2 == 0:
+        ops[0] += m
+    elif row_vector:
+        ops = [n + 1 for n in ops]
+    return RunReport(
+        design=PipelinedMatrixStringArray.design_name,
+        num_pes=m,
+        iterations=num_phases * m,
+        wall_ticks=num_phases * m + (m - 1),
+        pe_busy_ticks=tuple(ops),
+        pe_op_counts=tuple(ops),
+        serial_ops=serial_ops,
+        input_words=m + serial_ops,
+        output_words=rows,
+        broadcast_words=0,
+        backend="fast",
+    )
+
+
+def _fast_kernel(
+    sr: Semiring, mats: Sequence[np.ndarray], vec: np.ndarray
+) -> list[PipelinedArrayResult]:
+    """The fast backend on one string or on a stack of same-shape strings.
+
+    ``mats`` are the operands left of the sink vector ``vec``, each
+    ``(..., rows, m)`` with ``vec`` ``(..., m)``: 2-D for one string,
+    with a leading ``B`` axis for a stack.  The right-to-left semiring
+    mat-vec chain runs through :func:`repro.semiring.batched_matvec`, so
+    every string of a stack is bit-identical to running it alone.  A
+    leftmost ``1 × m`` row vector yields a scalar per string.  Returns
+    one result per string, in row-major order of the leading axes.
+    """
+    m = vec.shape[-1]
+    value = _matvec_chain(sr, mats, vec)
+    rows = mats[0].shape[-2]
+    report = _fast_report(len(mats), rows, m)
+    values = value.reshape(-1, rows)
+    if rows == 1 and m > 1:
+        return [
+            PipelinedArrayResult(value=sr.asarray(float(v[0])), report=report)
+            for v in values
+        ]
+    return [PipelinedArrayResult(value=v, report=report) for v in values]
 
 
 class PipelinedMatrixStringArray:
@@ -180,7 +252,7 @@ class PipelinedMatrixStringArray:
                 mats, vec, m, record_trace=record_trace, sinks=sinks,
                 injector=injector, observe=bool(observe), strict=strict,
             ),
-            fast=lambda: self._run_fast(mats, vec, m),
+            fast=lambda: _fast_kernel(self.sr, mats, vec)[0],
             validate=self._validate,
             design=self.design_name,
         )
@@ -292,58 +364,6 @@ class PipelinedMatrixStringArray:
             events=machine.trace_events(),
             phase_values=tuple(phase_values),
         )
-
-    # ------------------------------------------------------------------
-    # Fast backend
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self, mats: list[np.ndarray], vec: np.ndarray, m: int
-    ) -> PipelinedArrayResult:
-        """Whole-array evaluation: right-to-left semiring mat-vec chain.
-
-        Values come from :func:`repro.semiring.matvec`; the report's
-        counters are the overlapped schedule's closed forms — ``m``
-        iterations per phase, an ``m−1``-tick drain, one input word per
-        matrix element plus the initial vector — which the cross-backend
-        fuzz suite checks against the RTL machine.
-        """
-        sr = self.sr
-        num_phases = len(mats)
-        value = np.asarray(vec)
-        for mat in reversed(mats):
-            value = matvec(sr, mat, value)
-        is_row_vector = mats[0].shape[0] == 1 and m > 1
-        if is_row_vector:
-            value = sr.asarray(float(value[0]))
-        serial_ops = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
-
-        ops = [0] * m
-        for phase in range(num_phases):
-            mat = mats[num_phases - 1 - phase]
-            if mat.shape[0] == 1 and m > 1:
-                if phase % 2 == 0:  # moving input: P1 alone does all m steps
-                    ops[0] += m
-                else:  # one moving partial visits every PE once
-                    for i in range(m):
-                        ops[i] += 1
-            else:
-                for i in range(m):
-                    ops[i] += m
-
-        report = RunReport(
-            design=self.design_name,
-            num_pes=m,
-            iterations=num_phases * m,
-            wall_ticks=num_phases * m + (m - 1),
-            pe_busy_ticks=tuple(ops),
-            pe_op_counts=tuple(ops),
-            serial_ops=serial_ops,
-            input_words=m + serial_ops,
-            output_words=int(np.asarray(value).size),
-            broadcast_words=0,
-            backend="fast",
-        )
-        return PipelinedArrayResult(value=value, report=report)
 
     def run_graph(
         self,

@@ -15,6 +15,7 @@ from repro import MatrixChainProblem, solve, solve_batch
 from repro.exec import group_problems
 from repro.graphs import (
     NodeValueProblem,
+    random_multistage,
     single_source_sink,
     traffic_light_problem,
     uniform_multistage,
@@ -70,6 +71,30 @@ class TestGrouping:
         probs = [traffic_light_problem(rng, 5, 4) for _ in range(4)]
         groups = group_problems(probs, [0, 1, 2, 3], prefer=None, vectorize=False)
         assert all(g.kind == "scalar" for g in groups)
+
+    @pytest.mark.parametrize(
+        "prefer", [None, "pipelined", "broadcast", "dnc", "sequential"]
+    )
+    def test_group_kind_follows_solve_route(self, rng, prefer):
+        def node_value(sizes):
+            values = tuple(rng.uniform(0, 5, size) for size in sizes)
+            return NodeValueProblem(values=values, edge_cost=lambda a, b: np.abs(a - b))
+
+        probs = [
+            node_value([4] * 5),  # uniform: Fig. 5
+            node_value([3, 4, 2, 3]),  # non-uniform: sequential sweep
+            node_value([3] * 20),  # N > 4·m: divide-and-conquer
+            single_source_sink(rng, 3, 4),
+            uniform_multistage(rng, 4, 3),  # multi-source, framed
+            random_multistage(rng, [2, 3, 4, 2]),  # non-uniform
+            uniform_multistage(rng, 20, 3),  # N > 4·m
+            MatrixChainProblem((4, 7, 3, 5, 2)),
+        ]
+        kinds = {"fig5-feedback-array": "feedback", "fig3-pipelined-array": "pipelined"}
+        for problem in probs:
+            (group,) = group_problems([problem], [0], prefer=prefer, vectorize=True)
+            method = solve(problem, prefer=prefer, backend="fast").method
+            assert group.kind == kinds.get(method, "scalar"), (problem, method)
 
     def test_group_indices_partition_the_batch(self, rng):
         probs = [traffic_light_problem(rng, 5, 4) for _ in range(3)]
@@ -160,11 +185,23 @@ class TestCrossBackendFuzz:
                     tuple(int(d) for d in rng.integers(2, 30, size=n))
                 )
             )
+        edge_shapes = [
+            uniform_multistage(rng, 3, 1),  # m = 1
+            single_source_sink(rng, 2, 1),  # m = 1
+            single_source_sink(rng, n - 2, m),  # leftmost row vector
+            uniform_multistage(rng, 3, m),  # framed multi-source
+            traffic_light_problem(rng, 2, m),  # 2-stage node-value
+            traffic_light_problem(rng, 3, 1),  # m = 1 node-value
+        ]
+        probs += edge_shapes
         shuffled = [probs[i] for i in rng.permutation(len(probs))]
         for backend in ("fast", "rtl"):
             result = solve_batch(shuffled, backend=backend)
             for rep, problem in zip(result, shuffled):
                 assert_same_report(rep, solve(problem, backend=backend))
+        for problem in edge_shapes:
+            batched = solve_batch([problem]).reports[0]
+            assert solve(problem, backend="fast").detail.report == batched.detail.report
 
 
 class TestStatsAndMetrics:

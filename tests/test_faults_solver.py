@@ -62,6 +62,14 @@ class TestRecoveredDispatch:
         assert report.method == "fig4-broadcast-array+faults"
         assert report.validated
 
+    def test_chain_broadcast_preference_is_honored(self):
+        chain = MatrixChainProblem(dims=(4, 7, 3, 5, 2))
+        report = solve(
+            chain, fault_plan=_flip("M"), recovery="retry", prefer="broadcast"
+        )
+        assert report.method == "parenthesizer-broadcast+faults"
+        assert report.validated
+
 
 class TestDegradedDispatch:
     def test_spare_policy_degrades_and_validates(self, graph):

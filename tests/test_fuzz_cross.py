@@ -183,6 +183,8 @@ def test_fuzz_pipelined_backends_bit_identical(seed, n_layers, m, sr_idx, leftmo
     fast = arr.run(mats, backend="fast")
     assert np.array_equal(np.asarray(rtl.value), np.asarray(fast.value))
     _assert_reports_match(rtl.report, fast.report, (sr.name, n_layers, m))
+    # The closed-form counters reproduce every field the machine measures.
+    assert dataclasses.replace(rtl.report, backend="fast") == fast.report
 
 
 @given(
@@ -231,6 +233,7 @@ def test_fuzz_feedback_backends_bit_identical(seed, n_stages, m):
     assert rtl.path.nodes == fast.path.nodes
     assert np.array_equal(rtl.final_stage_values, fast.final_stage_values)
     _assert_reports_match(rtl.report, fast.report, (n_stages, m))
+    assert dataclasses.replace(rtl.report, backend="fast") == fast.report
 
 
 @given(
