@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from typing import Any
 
@@ -39,7 +40,7 @@ def write_bench_record(
 
     Every benchmark writes the same shape — design, backend, problem
     size (N matrices × m values), wall-clock seconds, paper iterations,
-    and PU — so downstream tooling (and the CI smoke step) can diff runs
+    PU, and the host's CPU count (``nproc``) — so downstream tooling (and the CI smoke step) can diff runs
     without per-benchmark parsers.  ``out_dir`` defaults to the current
     working directory; scratch records there are gitignored, while
     records checked in deliberately live under ``benchmarks/results/``.
@@ -53,6 +54,7 @@ def write_bench_record(
         "wall_seconds": float(wall_seconds),
         "iterations": int(iterations),
         "pu": float(pu),
+        "nproc": os.cpu_count(),
     }
     if extra:
         record.update(extra)

@@ -96,6 +96,18 @@ class SolveReport:
         return self.faults is not None and self.faults.outcome == "detected"
 
 
+#: Every ``prefer`` value some route reads; ``None`` keeps the Table-1 default.
+_PREFERENCES = ("pipelined", "broadcast", "sequential", "dnc", "systolic")
+
+
+def _check_prefer(prefer: str | None) -> None:
+    """Reject a ``prefer`` no route reads, instead of silently ignoring it."""
+    if prefer is not None and prefer not in _PREFERENCES:
+        raise ValueError(
+            f"unknown prefer {prefer!r}; expected None or one of {_PREFERENCES}"
+        )
+
+
 def _validated(a: Any, b: Any) -> bool:
     """Scalars or arrays agree elementwise to 1e-9 (equal infinities agree)."""
     return bool(np.all(np.isclose(a, b, rtol=1e-9, atol=1e-9)))
@@ -118,6 +130,7 @@ def solve(
     ``"pipelined"``/``"broadcast"``/``"sequential"`` for edge-cost serial
     problems, ``"broadcast"``/``"systolic"`` for matrix-chain ordering,
     ``"dnc"`` to force the polyadic-serial path on a multistage graph.
+    Any other value raises :class:`ValueError`.
 
     ``backend`` selects the array execution engine for every systolic
     path: ``"rtl"`` (cycle-accurate machine), ``"fast"`` (vectorized
@@ -156,6 +169,7 @@ def solve(
     ``sinks``, ``fault_plan``, ``backend="rtl"`` or ``strict`` — bypass
     it and always execute.
     """
+    _check_prefer(prefer)
     backend = normalize_backend(backend)
     sinks = tuple(sinks)
 

@@ -1,11 +1,11 @@
-"""Batch execution engine: vectorized kernels, sharding, solve cache.
+"""Batch execution engine: vectorized kernels and a solve cache.
 
 The paper's Sections 4–5 treat the systolic array as a *throughput*
 device fed a stream of instances; this subpackage is that reading made
 operational.  :func:`solve_batch` groups same-shape instances into
-stacked vectorized kernels, shards large groups across a process pool
-sized by the eq.-29 KT² rule, and serves repeats from a digest-keyed
-LRU cache shared with single-problem ``solve(cache=...)`` calls.  See
+stacked vectorized kernels, loops ``solve()`` over the rest, and serves
+repeats from a digest-keyed LRU cache shared with single-problem
+``solve(cache=...)`` calls.  Every batch runs in one process.  See
 ``docs/scaling.md``.
 """
 

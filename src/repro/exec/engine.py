@@ -1,53 +1,39 @@
 """The batch execution engine: ``solve_batch()``.
 
-Throughput comes from three stacked levels, in the spirit of the
-paper's Section 4 (an array fed a *stream* of instances, not a one-shot
-device):
+Throughput comes from two stacked levels, in the spirit of the paper's
+Section 4 (an array fed a *stream* of instances, not a one-shot
+device), and every batch runs in one process:
 
 1. **Vectorized multi-instance kernels** — same-shape, same-class
    instances are grouped (:mod:`repro.exec.grouping`) and run through
    the fast backends as one stacked 3-D semiring pass
    (:mod:`repro.exec.vectorized`), bit-identical per instance to a
    looped :func:`repro.core.solver.solve`.
-2. **Process-pool sharding** — large groups are split across a worker
-   pool (:mod:`repro.exec.pool`), with shard count and sizes chosen by
-   the paper's own KT² rule (:func:`repro.dnc.plan_shards`, eq. 29 /
-   Theorem 1); ``shard_strategy="even"`` is the naive ablation baseline.
-3. **A digest-keyed result cache** — canonical problem digest →
+2. **A digest-keyed result cache** — canonical problem digest →
    ``SolveReport`` (:mod:`repro.exec.cache`), shared with single-problem
    ``solve(cache=...)`` calls.
 
+Every other problem runs in one plain loop over ``solve()``.
 Side-effectful runs bypass both the cache and the vectorized kernels:
-``sinks`` and ``fault_plan`` force a sequential in-process loop (their
-observers must see every event of every run), while ``backend="rtl"``
-and ``strict`` runs stay cycle-accurate per instance but can still be
-sharded across workers when the problems are picklable — each worker
-builds its own machines and hazard sanitizers, so no monitor state is
-shared.
+under ``sinks``, ``fault_plan``, ``backend="rtl"`` or ``strict`` the
+whole batch is that loop, in batch order, so observers see every event
+of every run in the order a looped ``solve()`` would emit them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
-from ..core.solver import SolveReport, solve
-from ..dnc import plan_shards
+from ..core.solver import SolveReport, _check_prefer, solve
 from ..systolic import normalize_backend
 from .cache import SolveCache, cacheable, default_cache
 from .digest import cache_key
-from .grouping import VECTORIZED_KINDS, Group, group_problems
-from .pool import ShardResult, execute_payloads
-from .vectorized import prepare_payload, run_payload, slice_payload
+from .grouping import VECTORIZED_KINDS, group_problems
+from .vectorized import prepare_payload, run_payload
 
 __all__ = ["BatchResult", "BatchStats", "solve_batch"]
-
-#: Below this group size the pool's pickle + fork overhead outweighs any
-#: parallelism, so groups stay in-process.
-DEFAULT_MIN_SHARD_ITEMS = 64
-
-_SHARD_WALL_BUCKETS = (0.001, 0.004, 0.016, 0.064, 0.25, 1.0, 4.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,11 +49,6 @@ class BatchStats:
     #: Share of executed problems that rode a stacked vectorized kernel
     #: (1.0 = every executed instance was carried by a batched pass).
     fill_factor: float
-    shards: int  # payloads dispatched to the worker pool
-    shard_sizes: tuple[int, ...]
-    per_shard_seconds: tuple[float, ...]
-    workers: int
-    shard_strategy: str
     backend: str
     wall_seconds: float
 
@@ -102,9 +83,6 @@ def _publish_metrics(registry: Any, stats: BatchStats) -> None:
     registry.counter(
         "repro_batch_cache_misses_total", "Batch problems actually executed"
     ).labels().inc(stats.executed)
-    registry.counter(
-        "repro_batch_shards_total", "Payload shards dispatched to the worker pool"
-    ).labels().inc(stats.shards)
     registry.gauge(
         "repro_batch_problems_per_second",
         "Throughput of the most recent solve_batch call",
@@ -114,14 +92,6 @@ def _publish_metrics(registry: Any, stats: BatchStats) -> None:
         "repro_batch_group_fill_factor",
         "Share of executed problems carried by vectorized kernels",
     ).labels().set(stats.fill_factor)
-    hist = registry.histogram(
-        "repro_batch_shard_wall_seconds",
-        "Wall time of each executed shard/group payload",
-        (),
-        buckets=_SHARD_WALL_BUCKETS,
-    ).labels()
-    for wall in stats.per_shard_seconds:
-        hist.observe(wall)
 
 
 def solve_batch(
@@ -136,8 +106,6 @@ def solve_batch(
     fault_plan: Any = None,
     recovery: str = "retry",
     registry: Any = None,
-    min_shard_items: int = DEFAULT_MIN_SHARD_ITEMS,
-    shard_strategy: str = "kt2",
 ) -> BatchResult:
     """Solve a batch of problems, returning reports in batch order.
 
@@ -147,16 +115,22 @@ def solve_batch(
     differs.  ``backend`` defaults to ``"fast"`` (unlike ``solve()``):
     a batch engine exists for throughput.
 
+    Batches always run in one process.  ``workers`` is accepted for
+    callers that pass it explicitly, but must be ``1``; any other value
+    raises :class:`ValueError`.
+
     ``cache`` is a :class:`~repro.exec.cache.SolveCache`, or ``True``
     for the process-wide default cache.  Runs with ``sinks``,
     ``fault_plan``, ``backend="rtl"`` or ``strict`` bypass it entirely
-    (every instance re-executes).  ``workers > 1`` shards groups of at
-    least ``min_shard_items`` problems across a process pool, sized by
-    ``shard_strategy`` (``"kt2"``: the eq.-29 planner; ``"even"``: naive
-    equal split).  ``registry`` (a
+    (every instance re-executes).  ``registry`` (a
     :class:`~repro.telemetry.MetricsRegistry`) receives the throughput
     counters described in ``docs/scaling.md``.
     """
+    _check_prefer(prefer)
+    if workers != 1:
+        raise ValueError(
+            f"workers={workers!r}: solve_batch runs every batch in one process"
+        )
     problem_list = list(problems)
     total = len(problem_list)
     backend = normalize_backend(backend)
@@ -170,9 +144,10 @@ def solve_batch(
         cache_obj = None
     else:
         cache_obj = cache
-    cache_active = cache_obj is not None and cacheable(
-        sinks, fault_plan, backend, strict
-    )
+    # Runs whose side effects are the point (sinks, fault plans, rtl,
+    # strict) skip both the cache and the stacked kernels.
+    plain = cacheable(sinks, fault_plan, backend, strict)
+    cache_active = cache_obj is not None and plain
 
     reports: list[SolveReport | None] = [None] * total
     keys: list[tuple | None] = [None] * total
@@ -189,74 +164,30 @@ def solve_batch(
                 cache_hits += 1
 
     pending = [i for i in range(total) if reports[i] is None]
-    groups: list[Group] = []
-    shard_sizes: list[int] = []
-    per_shard_seconds: list[float] = []
-    pooled_shards = 0
-
-    if pending and (sinks or fault_plan is not None):
-        # Observers and injectors must see every run: sequential loop.
-        for i in pending:
-            reports[i] = solve(
-                problem_list[i],
-                prefer=prefer,
-                backend=backend,
-                sinks=sinks,
-                fault_plan=fault_plan,
-                recovery=recovery,
-                strict=strict,
-            )
-    elif pending:
-        vectorize = backend != "rtl" and not strict
-        groups = group_problems(
-            [problem_list[i] for i in pending],
-            pending,
-            prefer=prefer,
-            vectorize=vectorize,
-        )
-        local: list[tuple[list[int], dict[str, Any]]] = []
-        pooled: list[tuple[list[int], dict[str, Any]]] = []
-        for group in groups:
-            if group.kind in VECTORIZED_KINDS:
-                payload = prepare_payload(group)
-            else:
-                payload = {
-                    "kind": "scalar",
-                    "problems": list(group.problems),
-                    "solve_kwargs": {
-                        "prefer": prefer,
-                        "backend": backend,
-                        "strict": strict,
-                        "recovery": recovery,
-                    },
-                }
-            shardable = (
-                workers > 1
-                and len(group) >= min_shard_items
-                and (group.kind in VECTORIZED_KINDS or group.picklable)
-            )
-            if shardable:
-                plan = plan_shards(len(group), workers, strategy=shard_strategy)
-                for lo, hi in plan.offsets():
-                    pooled.append(
-                        (group.indices[lo:hi], slice_payload(payload, lo, hi))
-                    )
-                    shard_sizes.append(hi - lo)
-            else:
-                local.append((group.indices, payload))
-
-        pooled_shards = len(pooled)
-        if pooled:
-            results = execute_payloads([p for _, p in pooled], workers)
-            for (indices, _), shard in zip(pooled, results):
-                _scatter(reports, indices, shard)
-                per_shard_seconds.append(shard.wall_seconds)
-        for indices, payload in local:
-            t0 = time.perf_counter()
-            out = run_payload(payload)
-            wall = time.perf_counter() - t0
-            _scatter(reports, indices, ShardResult(out, wall))
-            per_shard_seconds.append(wall)
+    groups = group_problems(
+        [problem_list[i] for i in pending],
+        pending,
+        prefer=prefer,
+        vectorize=plain,
+    )
+    for group in groups:
+        if group.kind in VECTORIZED_KINDS:
+            out = run_payload(prepare_payload(group))
+        else:
+            out = [
+                solve(
+                    problem,
+                    prefer=prefer,
+                    backend=backend,
+                    sinks=sinks,
+                    fault_plan=fault_plan,
+                    recovery=recovery,
+                    strict=strict,
+                )
+                for problem in group.problems
+            ]
+        for i, report in zip(group.indices, out):
+            reports[i] = report
 
     if cache_active:
         assert cache_obj is not None
@@ -268,38 +199,18 @@ def solve_batch(
     if len(final) != total:  # pragma: no cover - internal invariant
         raise RuntimeError("batch execution dropped a problem")
 
-    vectorized_groups = [g for g in groups if g.kind in VECTORIZED_KINDS]
+    vectorized_problems = sum(len(g) for g in groups if g.kind in VECTORIZED_KINDS)
     stats = BatchStats(
         total=total,
         cache_hits=cache_hits,
         executed=len(pending),
         groups=len(groups),
-        vectorized_groups=len(vectorized_groups),
-        vectorized_problems=sum(len(g) for g in vectorized_groups),
-        fill_factor=(
-            sum(len(g) for g in vectorized_groups) / len(pending) if pending else 0.0
-        ),
-        shards=pooled_shards,
-        shard_sizes=tuple(shard_sizes),
-        per_shard_seconds=tuple(per_shard_seconds),
-        workers=workers,
-        shard_strategy=shard_strategy,
+        vectorized_groups=sum(g.kind in VECTORIZED_KINDS for g in groups),
+        vectorized_problems=vectorized_problems,
+        fill_factor=vectorized_problems / len(pending) if pending else 0.0,
         backend=backend,
         wall_seconds=time.perf_counter() - start,
     )
     if registry is not None:
         _publish_metrics(registry, stats)
     return BatchResult(reports=final, stats=stats)
-
-
-def _scatter(
-    reports: list[SolveReport | None],
-    indices: Sequence[int],
-    shard: ShardResult,
-) -> None:
-    if len(shard.reports) != len(indices):  # pragma: no cover - internal invariant
-        raise RuntimeError(
-            f"shard returned {len(shard.reports)} reports for {len(indices)} problems"
-        )
-    for i, report in zip(indices, shard.reports):
-        reports[i] = report

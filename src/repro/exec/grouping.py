@@ -4,9 +4,8 @@ Every problem is classified and put on its route by the same function
 ``solve()`` uses (:func:`repro.core.solver._route`); problems routed to
 the same fast systolic kernel with the same shape are grouped so one
 stacked pass of that kernel (:mod:`repro.exec.vectorized`) carries the
-whole group.  Everything else lands in scalar groups that loop
-``solve()`` — partitioned by whether the problems are picklable, since
-only picklable scalar groups can be shipped to a worker process.
+whole group.  Everything else lands in one scalar group, in batch
+order, that loops ``solve()``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import dataclasses
 from typing import Any
 
 from ..core.classification import Recommendation, recommend
-from ..core.problem import MatrixChainProblem
 from ..core.solver import _route
 from ..graphs import MultistageGraph, NodeValueProblem
 
@@ -34,31 +32,24 @@ class Group:
     indices: list[int]  # positions in the original batch
     problems: list[Any]
     recommendations: list[Recommendation]
-    picklable: bool  # safe to ship to a worker process
 
     def __len__(self) -> int:
         return len(self.indices)
 
 
-def _plan(problem: object, rec: Recommendation, prefer: str | None) -> tuple[str, tuple[Any, ...], bool]:
-    """(kind, group key, picklable) for one problem, on ``solve()``'s route."""
+_SCALAR = ("scalar",)
+
+
+def _plan(problem: object, rec: Recommendation, prefer: str | None) -> tuple[Any, ...]:
+    """The group key of one problem on ``solve()``'s route; its first item is the kind."""
     if isinstance(problem, (NodeValueProblem, MultistageGraph)):
         route = _route(problem, rec, prefer)
         if route == "feedback":
-            key = ("feedback", problem.num_stages, problem.stage_sizes[0],
-                   problem.semiring.name)
-            return "feedback", key, True
+            return ("feedback", problem.num_stages, problem.stage_sizes[0],
+                    problem.semiring.name)
         if route == "pipelined":
-            key = ("pipelined", problem.stage_sizes, problem.semiring.name)
-            return "pipelined", key, True
-        # ``edge_cost`` is frequently a closure, so node-value problems
-        # are conservatively treated as unpicklable; their *vectorized*
-        # payloads (materialized cost matrices) still ship fine.
-        picklable = isinstance(problem, MultistageGraph)
-        return "scalar", ("scalar", picklable), picklable
-    if isinstance(problem, MatrixChainProblem):
-        return "scalar", ("scalar", True), True
-    return "scalar", ("scalar", False), False
+            return ("pipelined", problem.stage_sizes, problem.semiring.name)
+    return _SCALAR
 
 
 def group_problems(
@@ -71,21 +62,17 @@ def group_problems(
     """Partition ``problems`` (at batch positions ``indices``) into groups.
 
     With ``vectorize=False`` (side-effectful or cycle-accurate batches)
-    every problem joins a scalar group — the kernels below are fast-path
-    only — but scalar grouping by picklability still applies, so rtl
-    batches can be sharded across workers.
+    every problem joins the one scalar group, in batch order — the
+    kernels below are fast-path only.
     """
     groups: dict[tuple[Any, ...], Group] = {}
     for pos, problem in zip(indices, problems):
         rec = recommend(problem)
-        kind, key, picklable = _plan(problem, rec, prefer)
-        if not vectorize and kind in VECTORIZED_KINDS:
-            kind, key = "scalar", ("scalar", picklable)
+        key = _plan(problem, rec, prefer) if vectorize else _SCALAR
         group = groups.get(key)
         if group is None:
             group = Group(
-                kind=kind, key=key, indices=[], problems=[],
-                recommendations=[], picklable=picklable,
+                kind=key[0], key=key, indices=[], problems=[], recommendations=[]
             )
             groups[key] = group
         group.indices.append(pos)

@@ -17,11 +17,9 @@ instances instead of one:
 is bit-identical to a looped ``solve(backend="fast")`` — optimum, traced
 path and closed-form counters included (the cross-backend fuzz suite
 asserts exact equality).  This module holds only the plumbing around
-the kernels: picklable *payloads* (plain dicts of stacked ``ndarray``s
-plus the semiring name), so the same code runs in-process and inside
-pool workers — a group is prepared once, optionally sliced into shards,
-and each shard executes independently — and the per-row report
-assembly.
+the kernels: a group is prepared once into a *payload* (a plain dict of
+stacked ``ndarray``s plus the semiring), the payload runs through its
+kernel, and each batch row becomes one report.
 """
 
 from __future__ import annotations
@@ -33,23 +31,18 @@ import numpy as np
 from ..core.solver import SolveReport
 from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
 from ..graphs.multistage import GraphError
-from ..semiring import by_name
 from ..systolic.feedback_array import _fast_kernel as feedback_kernel
 from ..systolic.pipelined_array import _fast_kernel as pipelined_kernel
 from .grouping import Group
 
-__all__ = [
-    "prepare_payload",
-    "slice_payload",
-    "run_payload",
-]
+__all__ = ["prepare_payload", "run_payload"]
 
 
 # ----------------------------------------------------------------------
-# Payload preparation (runs in the parent process)
+# Payload preparation
 # ----------------------------------------------------------------------
 def prepare_payload(group: Group) -> dict[str, Any]:
-    """A picklable execution payload for one vectorizable group."""
+    """The execution payload of one vectorizable group."""
     if group.kind == "feedback":
         return _prepare_feedback(group)
     if group.kind == "pipelined":
@@ -68,7 +61,7 @@ def _prepare_feedback(group: Group) -> dict[str, Any]:
     ]
     return {
         "kind": "feedback",
-        "semiring": first.semiring.name,
+        "semiring": first.semiring,
         "n_stages": n_stages,
         "m": m,
         "layers": layers,  # list of (B, m, m)
@@ -90,27 +83,14 @@ def _prepare_pipelined(group: Group) -> dict[str, Any]:
     ]
     return {
         "kind": "pipelined",
-        "semiring": first.semiring.name,
+        "semiring": first.semiring,
         "mats": mats,  # list of (B, rows, cols); last is the (B, m, 1) sink column
         "recommendations": list(group.recommendations),
     }
 
 
-def slice_payload(payload: dict[str, Any], start: int, stop: int) -> dict[str, Any]:
-    """The payload restricted to batch rows ``[start, stop)`` (views, no copy)."""
-    out = dict(payload)
-    for field in ("layers", "mats"):
-        if field in out:
-            out[field] = [a[start:stop] for a in out[field]]
-    if "recommendations" in out:
-        out["recommendations"] = out["recommendations"][start:stop]
-    if "problems" in out:
-        out["problems"] = out["problems"][start:stop]
-    return out
-
-
 # ----------------------------------------------------------------------
-# Payload execution (runs in-process or inside a pool worker)
+# Payload execution
 # ----------------------------------------------------------------------
 def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
     """Execute one payload, returning per-instance solve reports in order."""
@@ -119,13 +99,11 @@ def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
         return _run_feedback(payload)
     if kind == "pipelined":
         return _run_pipelined(payload)
-    if kind == "scalar":
-        return _run_scalar(payload)
     raise ValueError(f"unknown payload kind {kind!r}")
 
 
 def _run_feedback(payload: dict[str, Any]) -> list[SolveReport]:
-    sr = by_name(payload["semiring"])
+    sr = payload["semiring"]
     if sr.add_argreduce is None:  # pragma: no cover - all stock semirings have one
         raise GraphError(f"semiring {sr.name!r} has no arg-reduction")
     results = feedback_kernel(sr, [sr.asarray(a) for a in payload["layers"]])
@@ -145,7 +123,7 @@ def _run_feedback(payload: dict[str, Any]) -> list[SolveReport]:
 
 
 def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
-    sr = by_name(payload["semiring"])
+    sr = payload["semiring"]
     mats = [sr.asarray(a) for a in payload["mats"]]
     # As ``_normalize_string``: the last operand is the sink column.
     results = pipelined_kernel(sr, mats[:-1], mats[-1][..., 0])
@@ -165,11 +143,3 @@ def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
             )
         )
     return reports
-
-
-def _run_scalar(payload: dict[str, Any]) -> list[SolveReport]:
-    """Loop ``solve()`` over a scalar group (shipped or in-process)."""
-    from ..core.solver import solve
-
-    kwargs = dict(payload.get("solve_kwargs", {}))
-    return [solve(p, **kwargs) for p in payload["problems"]]

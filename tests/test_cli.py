@@ -149,13 +149,6 @@ class TestBatch:
         assert record["second_pass_cache_hits"] == 12
         assert record["speedup"] > 0
 
-    def test_batch_feedback_sharded(self, capsys):
-        assert main(
-            ["batch", "--kind", "feedback", "--batch", "16", "--n", "4",
-             "--m", "3", "--workers", "2", "--min-shard-items", "8"]
-        ) == 0
-        assert "shards=" in capsys.readouterr().out
-
 
 class TestSpacetimeJson:
     def test_spacetime_json_timeline(self, capsys):

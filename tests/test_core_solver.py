@@ -273,3 +273,28 @@ class TestBackendThreading:
 
         with pytest.raises(SystolicError):
             solve(fig1a_graph(), backend="gpu")
+
+
+class TestPreferValidation:
+    @pytest.mark.parametrize(
+        "problem",
+        [fig1a_graph(), MatrixChainProblem((10, 20, 50, 1, 100))],
+        ids=["graph", "chain"],
+    )
+    def test_unknown_prefer_raises_instead_of_falling_back(self, problem):
+        with pytest.raises(ValueError, match="unknown prefer 'broadcst'"):
+            solve(problem, prefer="broadcst", backend="fast")
+
+    def test_typo_is_rejected_before_the_cache(self):
+        from repro import SolveCache
+
+        cache = SolveCache(capacity=4)
+        with pytest.raises(ValueError):
+            solve(fig1a_graph(), prefer="pipelnied", backend="fast", cache=cache)
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize(
+        "prefer", [None, "pipelined", "broadcast", "sequential", "dnc", "systolic"]
+    )
+    def test_every_known_prefer_is_accepted(self, prefer):
+        assert solve(fig1a_graph(), prefer=prefer, backend="fast").validated

@@ -8,6 +8,8 @@ optimum, reference, traced path and closed-form counters included.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.graphs import (
     traffic_light_problem,
     uniform_multistage,
 )
+from repro.semiring import MIN_PLUS
 from repro.telemetry import MetricsRegistry
 
 
@@ -122,6 +125,21 @@ class TestVectorizedKernels:
             )
         assert_batch_matches_loop(probs)
 
+    def test_unregistered_semiring_batch(self, rng):
+        # Payloads carry the problem's own semiring, not a name looked up
+        # among the built-in ones.
+        sr = dataclasses.replace(MIN_PLUS, name="min-plus-copy")
+        probs = [
+            NodeValueProblem(
+                values=tuple(rng.uniform(0, 5, 4) for _ in range(5)),
+                edge_cost=lambda a, b: np.abs(a - b),
+                semiring=sr,
+            )
+            for _ in range(3)
+        ]
+        result = assert_batch_matches_loop(probs)
+        assert result.stats.vectorized_groups == 1
+
     def test_pipelined_framed_graph_batch(self, rng):
         probs = [uniform_multistage(rng, 5, 4) for _ in range(6)]
         result = assert_batch_matches_loop(probs)
@@ -166,6 +184,42 @@ class TestVectorizedKernels:
     def test_single_problem_batch(self, rng):
         probs = [traffic_light_problem(rng, 5, 4)]
         assert_batch_matches_loop(probs)
+
+
+class TestScalarLoop:
+    """Everything a stacked kernel does not carry loops ``solve()`` in batch order."""
+
+    def test_sinks_batch_matches_looped_solve_event_for_event(self, rng):
+        values = tuple(rng.uniform(0, 5, 3) for _ in range(4))
+        probs = [
+            NodeValueProblem(values=values, edge_cost=lambda a, b: np.abs(a - b)),
+            uniform_multistage(rng, 4, 3),
+            MatrixChainProblem((4, 7, 3, 5)),
+        ]
+        events: list = []
+        result = solve_batch(probs, backend="rtl", sinks=[events.append])
+        assert result.stats.groups == 1 and result.stats.vectorized_groups == 0
+        looped_events: list = []
+        for rep, problem in zip(result, probs):
+            assert_same_report(
+                rep, solve(problem, backend="rtl", sinks=[looped_events.append])
+            )
+        assert events and events == looped_events
+
+    def test_workers_must_be_one(self, rng):
+        probs = [traffic_light_problem(rng, 5, 4) for _ in range(4)]
+        with pytest.raises(ValueError, match="one process"):
+            solve_batch(probs, workers=2)
+        for rep, ref in zip(solve_batch(probs, workers=1), solve_batch(probs)):
+            assert_same_report(rep, ref)
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_unknown_prefer_rejected_before_grouping(self, rng, vectorize):
+        # A vectorized group never calls solve(), so solve_batch checks itself.
+        backend = "fast" if vectorize else "rtl"
+        with pytest.raises(ValueError, match="unknown prefer"):
+            solve_batch([uniform_multistage(rng, 4, 3)], prefer="pipelnied",
+                        backend=backend)
 
 
 class TestCrossBackendFuzz:
@@ -229,4 +283,3 @@ class TestStatsAndMetrics:
         assert "repro_batch_cache_hits_total" in names
         assert "repro_batch_problems_per_second" in names
         assert "repro_batch_group_fill_factor" in names
-        assert "repro_batch_shard_wall_seconds" in names

@@ -1,12 +1,12 @@
-"""Eq.-29 shard planning, process-pool execution, and report pickling.
+"""Eq.-29 shard planning and report pickling.
 
-``plan_shards`` is the paper's granularity result turned scheduler: the
-computation shards carry ``T_c = ceil((n-1)/K)``-ish equal loads and the
-wind-down tail halves (eq. 29's ``T_w = log2`` term).  The pool tests
-pin the engine contract — sharded execution is bit-identical to
-in-process execution — and the pickle round-trips are what make the
-pool possible at all: every report (including nested fault and hazard
-payloads) must survive a worker boundary unchanged.
+``plan_shards`` is the paper's granularity result read as a scheduler:
+the computation shards carry ``T_c = ceil((n-1)/K)``-ish equal loads and
+the wind-down tail halves (eq. 29's ``T_w = log2`` term).  It is paper
+analysis in :mod:`repro.dnc`; the batch engine runs every batch in one
+process and does not use it.  The pickle round-trips pin that every
+report (including nested fault and hazard payloads) survives a process
+boundary unchanged, so callers may ship reports between processes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import MatrixChainProblem, solve, solve_batch
+from repro import MatrixChainProblem, solve
 from repro.dnc import kt2, plan_shards, schedule_time
 from repro.faults import FaultPlan, FaultSpec
 from repro.graphs import random_multistage, traffic_light_problem, uniform_multistage
@@ -71,41 +71,6 @@ class TestPlanShards:
             plan_shards(4, 0)
         with pytest.raises(ValueError):
             plan_shards(4, 2, strategy="bogus")
-
-
-class TestShardedExecution:
-    def test_vectorized_group_sharded_across_two_workers(self, rng):
-        probs = [traffic_light_problem(rng, 5, 4) for _ in range(24)]
-        result = solve_batch(probs, workers=2, min_shard_items=8)
-        assert result.stats.shards >= 2
-        assert sum(result.stats.shard_sizes) == 24
-        assert len(result.stats.per_shard_seconds) == result.stats.shards
-        for rep, problem in zip(result, probs):
-            assert_same_report(rep, solve(problem, backend="fast"))
-
-    def test_scalar_picklable_group_sharded(self, rng):
-        probs = [
-            MatrixChainProblem(tuple(int(d) for d in rng.integers(2, 30, size=5)))
-            for _ in range(12)
-        ]
-        result = solve_batch(probs, workers=2, min_shard_items=4)
-        assert result.stats.shards >= 2
-        for rep, problem in zip(result, probs):
-            assert_same_report(rep, solve(problem, backend="fast"))
-
-    def test_small_groups_stay_in_process(self, rng):
-        probs = [traffic_light_problem(rng, 5, 4) for _ in range(4)]
-        result = solve_batch(probs, workers=2, min_shard_items=64)
-        assert result.stats.shards == 0
-
-    def test_even_strategy_end_to_end(self, rng):
-        probs = [traffic_light_problem(rng, 5, 4) for _ in range(16)]
-        result = solve_batch(
-            probs, workers=2, min_shard_items=8, shard_strategy="even"
-        )
-        assert result.stats.shard_strategy == "even"
-        for rep, problem in zip(result, probs):
-            assert_same_report(rep, solve(problem, backend="fast"))
 
 
 class TestReportPickleRoundTrip:
