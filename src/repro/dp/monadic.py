@@ -11,7 +11,9 @@ the numerator of the processor-utilization formula (eq. 9).
 
 Both record per-stage value vectors, the winning decisions, and the
 elementary-operation count (one ``⊗`` + one ``⊕``-merge per examined
-edge), then reconstruct one optimal path.
+edge), then reconstruct one optimal path.  A graph's costs are checked
+when it is built, so the sweeps use the semiring's raw ⊗
+(:attr:`~repro.semiring.Semiring.raw_mul`).
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def solve_backward(graph: MultistageGraph) -> MonadicSolution:
     ops = 0
     for k in range(n_stages - 2, -1, -1):
         # candidate[i, j] = c_{i,j} ⊗ f(j); one ⊗⊕ step per edge.
-        candidate = sr.mul(graph.costs[k], values[k + 1][None, :])
+        candidate = sr.raw_mul(graph.costs[k], values[k + 1][None, :])
         decisions[k] = sr.add_argreduce(candidate, axis=1).astype(np.intp)
         # ⊕ picks one of its operands, so the reduction equals the
         # candidate the decision points at, without a gather.
@@ -123,7 +125,7 @@ def solve_forward(graph: MultistageGraph) -> MonadicSolution:
     ops = 0
     for k in range(1, n_stages):
         # candidate[j, i] = f(j) ⊗ c_{j,i}
-        candidate = sr.mul(values[k - 1][:, None], graph.costs[k - 1])
+        candidate = sr.raw_mul(values[k - 1][:, None], graph.costs[k - 1])
         decisions[k] = sr.add_argreduce(candidate, axis=0).astype(np.intp)
         values[k] = sr.add_reduce(candidate, axis=0)
         ops += sizes[k - 1] * sizes[k]

@@ -9,11 +9,11 @@ Node-value problems are digested through their *materialized* cost
 matrices — the paper's own eq.-(4) equivalence between the node-value
 and edge-cost forms — because the ``edge_cost`` callable itself has no
 canonical byte form.  A node-value problem owns read-only copies of its
-values and builds its cost layers once, so its digest cannot go stale
-and is computed once per problem.  Edge-cost graphs hold arrays their
-caller may still edit, so they are hashed on every call.  Problems with
-no canonical serialization (general nonserial objectives, whose terms
-are arbitrary callables) digest to ``None`` and are simply never cached.
+values and builds its cost layers once, and an edge-cost graph owns
+read-only copies of its costs, so neither digest can go stale: each is
+computed once per problem and memoized on it.  Problems with no
+canonical serialization (general nonserial objectives, whose terms are
+arbitrary callables) digest to ``None`` and are simply never cached.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..graphs import MultistageGraph, NodeValueProblem
 __all__ = ["problem_digest", "cache_key"]
 
 
-#: Attribute under which a node-value problem's digest is memoized.
+#: Attribute under which a node-value problem's or graph's digest is memoized.
 _MEMO = "_problem_digest"
 
 
@@ -52,27 +52,34 @@ def _node_value_digest(problem: NodeValueProblem) -> str:
     return h.hexdigest()
 
 
+def _graph_digest(graph: MultistageGraph) -> str:
+    h = hashlib.sha256()
+    h.update(b"multistage_graph\x00")
+    h.update(graph.semiring.name.encode())
+    for c in graph.costs:
+        _update_array(h, c)
+    return h.hexdigest()
+
+
 def problem_digest(problem: object) -> str | None:
     """SHA-256 hex digest of a problem's canonical form, or ``None``.
 
     ``None`` means the problem has no canonical byte serialization and
     must bypass the cache.
     """
-    if isinstance(problem, NodeValueProblem):
+    if isinstance(problem, (NodeValueProblem, MultistageGraph)):
         memo: str | None = vars(problem).get(_MEMO)
         if memo is None:
             # The frozen dataclass refuses attribute assignment; the memo
             # goes straight into its ``__dict__``, as ``cached_property`` does.
-            memo = vars(problem)[_MEMO] = _node_value_digest(problem)
+            memo = vars(problem)[_MEMO] = (
+                _node_value_digest(problem)
+                if isinstance(problem, NodeValueProblem)
+                else _graph_digest(problem)
+            )
         return memo
-    h = hashlib.sha256()
-    if isinstance(problem, MultistageGraph):
-        h.update(b"multistage_graph\x00")
-        h.update(problem.semiring.name.encode())
-        for c in problem.costs:
-            _update_array(h, c)
-        return h.hexdigest()
     if isinstance(problem, MatrixChainProblem):
+        h = hashlib.sha256()
         h.update(b"matrix_chain\x00")
         h.update(repr(problem.dims).encode())
         return h.hexdigest()

@@ -10,8 +10,8 @@ instances instead of one:
   arg-reductions keep the first-occurrence tie-break per batch row, so
   traced paths match too.
 * **Fig. 3 pipelined** — the right-to-left mat-vec chain of
-  :mod:`repro.systolic.pipelined_array` via
-  :func:`repro.semiring.batched_matvec`.
+  :mod:`repro.systolic.pipelined_array`: the broadcast-then-reduce of
+  :func:`repro.semiring.batched_matvec` with the raw ⊗ of checked costs.
 
 ``solve()`` runs the same kernel body on 2-D operands, so a batch row
 is bit-identical to a looped ``solve(backend="fast")`` — optimum, traced

@@ -1,6 +1,6 @@
 """Multistage graphs, workload generators, interaction graphs, paths."""
 
-from .multistage import GraphError, MultistageGraph, NodeValueProblem
+from .multistage import GraphError, MultistageGraph, NodeValueProblem, check_cost_layers
 from .generators import (
     circuit_design_problem,
     curve_tracking_problem,
@@ -24,6 +24,7 @@ __all__ = [
     "GraphError",
     "MultistageGraph",
     "NodeValueProblem",
+    "check_cost_layers",
     "random_multistage",
     "uniform_multistage",
     "single_source_sink",

@@ -24,13 +24,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..semiring import MIN_PLUS, Semiring
 
-__all__ = ["MultistageGraph", "NodeValueProblem", "GraphError"]
+__all__ = ["MultistageGraph", "NodeValueProblem", "GraphError", "check_cost_layers"]
 
 
 class GraphError(ValueError):
@@ -39,6 +40,62 @@ class GraphError(ValueError):
 
 def _has_nan(a: np.ndarray) -> bool:
     return a.dtype.kind in "fc" and bool(np.isnan(a).any())
+
+
+def check_cost_layers(
+    sr: Semiring, layers: Sequence[np.ndarray], source: str
+) -> None:
+    """Check cost layers once, where they enter; raise :class:`GraphError`.
+
+    Every layer is rejected if it holds NaN.  Semirings with an unguarded
+    ⊗ (``raw_mul_op``: min-plus and max-plus, whose ⊗ is ``+`` and whose
+    zero is an infinity) also reject what would make that ⊗ differ from
+    the guarded ``mul``, which maps ``(+inf) + (-inf)`` to the zero:
+
+    * the wrong infinity, ``-inf`` under min-plus (``+inf`` under
+      max-plus);
+    * an overflow: the ⊗-sum over layers of each layer's extreme cost
+      (its ⊕-reduction, clamped at ``one``) is not finite, so some
+      partial path sum could overflow to the wrong infinity.
+
+    One ⊕-reduction per layer finds both the extreme cost and any NaN,
+    since min and max propagate NaN.  Costs that pass can run through
+    :attr:`Semiring.raw_mul`.  ``source`` starts every message, e.g.
+    ``"edge_cost returned"``.
+    """
+    if sr.raw_mul_op is None:
+        for k, c in enumerate(layers):
+            if _has_nan(c):
+                raise GraphError(f"{source} NaN in layer {k}")
+        return
+    wrong = -sr.zero
+    bound = sr.one
+    for k, c in enumerate(layers):
+        extreme = float(sr.add_reduce(c, axis=None))
+        if extreme != extreme:
+            raise GraphError(f"{source} NaN in layer {k}")
+        if extreme == wrong:
+            raise GraphError(
+                f"{source} {wrong} in layer {k}, the wrong infinity for {sr.name}"
+            )
+        bound = sr.scalar_mul(bound, sr.scalar_add(extreme, sr.one))
+    if not math.isfinite(bound):
+        raise GraphError(f"{source} costs whose path sums overflow under {sr.name}")
+
+
+def _owned_read_only(sr: Semiring, c: Any) -> np.ndarray:
+    """``c`` as a read-only array the graph owns: shared when it already
+    is one, copied otherwise, so later edits by the caller cannot reach it."""
+    if (
+        isinstance(c, np.ndarray)
+        and c.dtype == sr.dtype
+        and c.flags.owndata
+        and not c.flags.writeable
+    ):
+        return c
+    out = np.array(c, dtype=sr.dtype)
+    out.setflags(write=False)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +109,9 @@ class MultistageGraph:
         ``k + 1`` with shape ``(size of stage k, size of stage k + 1)``;
         entry ``(i, j)`` is the cost of the edge from node ``i`` of stage
         ``k`` to node ``j`` of stage ``k + 1``.  ``semiring.zero``
-        (``+inf`` for min-plus) encodes a missing edge.
+        (``+inf`` for min-plus) encodes a missing edge.  The graph keeps
+        read-only copies (an array that is already read-only and owns its
+        data is shared), checked by :func:`check_cost_layers`.
     semiring:
         The cost algebra; min-plus by default (shortest path).
 
@@ -65,21 +124,25 @@ class MultistageGraph:
     def __post_init__(self) -> None:
         if not self.costs:
             raise GraphError("a multistage graph needs at least one edge layer")
-        mats = tuple(self.semiring.asarray(c) for c in self.costs)
+        mats = tuple(_owned_read_only(self.semiring, c) for c in self.costs)
         for k, c in enumerate(mats):
             if c.ndim != 2:
                 raise GraphError(f"costs[{k}] must be 2-D, got shape {c.shape}")
             if min(c.shape) < 1:
                 raise GraphError(f"costs[{k}] has an empty stage: shape {c.shape}")
-            if _has_nan(c):
-                raise GraphError(f"costs[{k}] contains NaN")
         for k in range(len(mats) - 1):
             if mats[k].shape[1] != mats[k + 1].shape[0]:
                 raise GraphError(
                     f"stage-size mismatch between layers {k} and {k + 1}: "
                     f"{mats[k].shape} then {mats[k + 1].shape}"
                 )
+        check_cost_layers(self.semiring, mats, "costs contain")
         object.__setattr__(self, "costs", mats)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Copies and unpickled graphs go through the constructor, so they
+        # own read-only costs and start without a memoized digest.
+        return (type(self), (self.costs, self.semiring))
 
     # ------------------------------------------------------------------
     # Shape queries
@@ -211,8 +274,9 @@ class NodeValueProblem:
         costs.  The paper assumes ``g`` independent of the stage index
         (required for systolic feeding); a per-stage variant can be
         expressed by baking the stage index into the node values.  It
-        runs once per layer, the first time any cost is read; a NaN
-        cost raises :class:`GraphError` then.
+        runs once per layer, the first time any cost is read; costs that
+        fail :func:`check_cost_layers` (NaN, the wrong infinity, an
+        overflowing path sum) raise :class:`GraphError` then.
     semiring:
         Cost algebra, min-plus by default.
     """
@@ -274,10 +338,9 @@ class NodeValueProblem:
                     f"edge_cost returned shape {out.shape}, expected {expected}; "
                     "it must be vectorized over broadcast inputs"
                 )
-            if _has_nan(out):
-                raise GraphError(f"edge_cost returned NaN in layer {k}")
             out.setflags(write=False)
             layers.append(out)
+        check_cost_layers(self.semiring, layers, "edge_cost returned")
         return tuple(layers)
 
     def cost_matrix(self, k: int) -> np.ndarray:

@@ -19,6 +19,13 @@ in both *scalar* form and *vectorized* (NumPy ufunc-style) form.  The
 vectorized entry points are what the performance-sensitive inner loops
 use; per the HPC guides, all bulk operations are expressed as whole-array
 NumPy reductions rather than Python-level element loops.
+
+A semiring may also carry specialised forms of its operations: pure-Python
+scalar ⊕/⊗ for the systolic PEs, which step one scalar at a time, and
+:attr:`Semiring.raw_mul`, an array ⊗ without the guards that only
+unchecked operands need.  Costs are checked once where they enter the
+library (:func:`repro.graphs.check_cost_layers`); the kernels fed by
+checked data run the raw forms.
 """
 
 from __future__ import annotations
@@ -66,6 +73,17 @@ class Semiring:
         on it.
     dtype:
         Natural NumPy dtype of semiring elements.
+    scalar_add_op, scalar_mul_op:
+        Optional pure-Python ⊕ / ⊗ on two floats, equal to the vectorized
+        forms on every non-NaN pair (the annihilator rule included).
+        ``None`` falls back to the vectorized form on 0-d arrays.
+    raw_mul_op:
+        Optional array ⊗ for operands checked at entry, for semirings
+        whose ⊗ is ``+`` and whose zero is an infinity (min-plus,
+        max-plus): it skips ``mul``'s ``(+∞) ⊗ (−∞) = 0̄`` guard, and
+        :func:`repro.graphs.check_cost_layers` rejects the costs that
+        could produce that pair.  ``None`` means ``mul``; read it
+        through :attr:`raw_mul`.
     """
 
     name: str
@@ -77,17 +95,29 @@ class Semiring:
     add_argreduce: Callable[..., np.ndarray] | None = None
     idempotent_add: bool = False
     dtype: np.dtype = dataclasses.field(default_factory=lambda: np.dtype(np.float64))
+    scalar_add_op: Callable[[float, float], float] | None = None
+    scalar_mul_op: Callable[[float, float], float] | None = None
+    raw_mul_op: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Scalar conveniences
     # ------------------------------------------------------------------
     def scalar_add(self, a: float, b: float) -> float:
         """⊕ on two scalars (returns a Python float)."""
+        if self.scalar_add_op is not None:
+            return self.scalar_add_op(a, b)
         return float(self.add(np.asarray(a, dtype=self.dtype), np.asarray(b, dtype=self.dtype)))
 
     def scalar_mul(self, a: float, b: float) -> float:
         """⊗ on two scalars (returns a Python float)."""
+        if self.scalar_mul_op is not None:
+            return self.scalar_mul_op(a, b)
         return float(self.mul(np.asarray(a, dtype=self.dtype), np.asarray(b, dtype=self.dtype)))
+
+    @property
+    def raw_mul(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Array ⊗ for checked operands: ``raw_mul_op``, else ``mul``."""
+        return self.mul if self.raw_mul_op is None else self.raw_mul_op
 
     # ------------------------------------------------------------------
     # Array helpers

@@ -11,6 +11,8 @@ reachability (:data:`BOOLEAN`) and ordinary linear algebra
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import Semiring
@@ -30,10 +32,10 @@ __all__ = [
 def _inf_safe_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a + b`` treating ``(+inf) + (-inf)`` as ``+inf``.
 
-    Only needed by semirings whose zero is infinite while finite elements
-    may have either sign; for MIN_PLUS / MAX_PLUS with costs of one sign,
-    plain ``np.add`` never produces NaN, but we guard anyway so user cost
-    matrices with mixed infinities stay well-defined.
+    The guarded ⊗ of :data:`MIN_PLUS`, so ``mul`` stays well-defined on
+    arbitrary operands.  Checked costs (no ``-inf``, no overflowing path
+    sum) never produce ``(+inf) + (-inf)``, so the kernels they feed run
+    the bare ``np.add`` (``raw_mul``) instead.
     """
     with np.errstate(invalid="ignore"):
         out = np.add(a, b)
@@ -53,6 +55,36 @@ def _neg_inf_safe_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# Scalar forms for the PEs, which step one pair of floats at a time: plain
+# Python arithmetic, equal to the ufuncs above on every non-NaN pair.
+def _scalar_min(a: float, b: float) -> float:
+    return float(a if a <= b else b)
+
+
+def _scalar_max(a: float, b: float) -> float:
+    return float(a if a >= b else b)
+
+
+def _scalar_sum(a: float, b: float) -> float:
+    return float(a + b)
+
+
+def _scalar_product(a: float, b: float) -> float:
+    return float(a * b)
+
+
+def _scalar_inf_safe_add(a: float, b: float) -> float:
+    """Scalar :func:`_inf_safe_add`: ``(+inf) + (-inf)`` is ``+inf``."""
+    r = float(a + b)
+    return math.inf if r != r else r
+
+
+def _scalar_neg_inf_safe_add(a: float, b: float) -> float:
+    """Scalar :func:`_neg_inf_safe_add`: ``(+inf) + (-inf)`` is ``-inf``."""
+    r = float(a + b)
+    return -math.inf if r != r else r
+
+
 #: Shortest-path / minimization semiring: ⊕ = min, ⊗ = +.
 MIN_PLUS = Semiring(
     name="min-plus",
@@ -63,6 +95,9 @@ MIN_PLUS = Semiring(
     add_reduce=np.minimum.reduce,
     add_argreduce=np.argmin,
     idempotent_add=True,
+    scalar_add_op=_scalar_min,
+    scalar_mul_op=_scalar_inf_safe_add,
+    raw_mul_op=np.add,
 )
 
 #: Longest-path / maximization semiring: ⊕ = max, ⊗ = +.
@@ -75,6 +110,9 @@ MAX_PLUS = Semiring(
     add_reduce=np.maximum.reduce,
     add_argreduce=np.argmax,
     idempotent_add=True,
+    scalar_add_op=_scalar_max,
+    scalar_mul_op=_scalar_neg_inf_safe_add,
+    raw_mul_op=np.add,
 )
 
 #: Ordinary arithmetic semiring (path counting / reference checks).
@@ -87,6 +125,8 @@ PLUS_TIMES = Semiring(
     add_reduce=np.add.reduce,
     add_argreduce=None,
     idempotent_add=False,
+    scalar_add_op=_scalar_sum,
+    scalar_mul_op=_scalar_product,
 )
 
 #: Reliability semiring: ⊕ = max, ⊗ = ×, elements in [0, 1].
@@ -99,6 +139,8 @@ MAX_TIMES = Semiring(
     add_reduce=np.maximum.reduce,
     add_argreduce=np.argmax,
     idempotent_add=True,
+    scalar_add_op=_scalar_max,
+    scalar_mul_op=_scalar_product,
 )
 
 #: Bottleneck semiring: ⊕ = min, ⊗ = max (minimize the worst edge).
@@ -111,6 +153,8 @@ MIN_MAX = Semiring(
     add_reduce=np.minimum.reduce,
     add_argreduce=np.argmin,
     idempotent_add=True,
+    scalar_add_op=_scalar_min,
+    scalar_mul_op=_scalar_max,
 )
 
 #: Reachability semiring over {0.0, 1.0}: ⊕ = or, ⊗ = and.
@@ -123,6 +167,8 @@ BOOLEAN = Semiring(
     add_reduce=np.maximum.reduce,
     add_argreduce=np.argmax,
     idempotent_add=True,
+    scalar_add_op=_scalar_max,
+    scalar_mul_op=_scalar_min,
 )
 
 ALL_SEMIRINGS: tuple[Semiring, ...] = (

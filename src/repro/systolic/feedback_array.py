@@ -136,8 +136,10 @@ def _fast_kernel(
     """The fast backend on one instance or on a stack of them.
 
     ``layers`` are the ``N − 1`` cost matrices, each ``(..., m, m)``:
-    2-D for one instance, ``(B, m, m)`` for a stack of ``B``.  Stage
-    recurrence: ``h_1 = 1̄``; ``h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j]``.  The
+    2-D for one instance, ``(B, m, m)`` for a stack of ``B``, all
+    checked by :func:`~repro.graphs.check_cost_layers`, so ⊗ is the
+    semiring's raw form.  Stage recurrence: ``h_1 = 1̄``;
+    ``h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j]``.  The
     argreduce along the predecessor axis is exactly the path register:
     the first PE index achieving the folded optimum, the same tie-break
     as the moving pair's strict-improvement update.  Each instance of a
@@ -149,8 +151,9 @@ def _fast_kernel(
     lead, m = layers[0].shape[:-2], layers[0].shape[-1]
     h = np.full(lead + (m,), sr.one, dtype=float)
     registers = np.empty((n_layers,) + lead + (m,), dtype=np.intp)
+    mul = sr.raw_mul
     for k, layer in enumerate(layers):
-        cand = sr.mul(h[..., :, None], layer)
+        cand = mul(h[..., :, None], layer)
         registers[k] = sr.add_argreduce(cand, axis=-2)
         h = sr.add_reduce(cand, axis=-2)
     rows = h.reshape(-1, m)
@@ -376,6 +379,10 @@ class FeedbackSystolicArray:
                 if machine.tracing:
                     label = "F0" if pair.stage > n_stages else f"x{pair.stage},{pair.index}"
                     machine.emit("op", i, label)
+                if h_val is None:
+                    # A dead link into H armed K without its prefix cost:
+                    # a missing prefix is the semiring zero.
+                    h_val = sr.zero
                 if pair.stage <= n_stages:
                     cand = sr.scalar_mul(h_val, f(k_val, pair.x))
                 else:

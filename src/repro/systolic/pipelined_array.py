@@ -27,12 +27,11 @@ cycle-accurate within each phase (two-phase register semantics), phases
 stitched with the exact data hand-offs of the overlapped schedule (MOVE
 for A→B, the P_m→P_1 feedback stream for B→A), so computed values and
 per-PE iteration counts match the hardware exactly.  The fast backend
-evaluates the same string with whole-array semiring reductions
-(:func:`repro.semiring.batched_matvec`, which on 2-D operands performs
-exactly :func:`~repro.semiring.matvec`'s operations) and reports the
-schedule's closed-form counters; the batch engine
-(:mod:`repro.exec.vectorized`) runs the same kernel on a stack of
-same-shape strings.  ``backend="auto"`` cross-validates fast against
+evaluates the same string with whole-array semiring reductions (the
+broadcast-then-reduce of :func:`~repro.semiring.matvec`, with the raw ⊗
+of operands checked at entry) and reports the schedule's closed-form
+counters; the batch engine (:mod:`repro.exec.vectorized`) runs the same
+kernel on a stack of same-shape strings.  ``backend="auto"`` cross-validates fast against
 RTL on small instances.
 """
 
@@ -43,8 +42,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..graphs import MultistageGraph
-from ..semiring import MIN_PLUS, Semiring, batched_matvec
+from ..graphs import MultistageGraph, check_cost_layers
+from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
     BackendMismatch,
     RunReport,
@@ -78,7 +77,7 @@ class PipelinedArrayResult:
 
 
 def _normalize_string(
-    sr: Semiring, matrices: list[np.ndarray]
+    sr: Semiring, matrices: Sequence[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Validate the matrix string; return (matrices, sink vector, width m)."""
     if len(matrices) < 2:
@@ -118,10 +117,16 @@ def _matvec_chain(
 ) -> np.ndarray:
     """``mats[0] ⊗ (mats[1] ⊗ (… ⊗ vec))``, right to left, over any leading
     axes: the Fig. 3 value, and the divide-and-conquer route's value in
-    :func:`repro.core.solver.solve`."""
+    :func:`repro.core.solver.solve`.
+
+    Each step is :func:`~repro.semiring.batched_matvec`'s broadcast and
+    reduction with the raw ⊗, so the operands must have passed
+    :func:`~repro.graphs.check_cost_layers` and have matching shapes.
+    """
+    mul, reduce = sr.raw_mul, sr.add_reduce
     value = vec
     for mat in reversed(mats):
-        value = batched_matvec(sr, mat, value)
+        value = reduce(mul(mat, value[..., None, :]), axis=-1)
     return value
 
 
@@ -163,9 +168,10 @@ def _fast_kernel(
 
     ``mats`` are the operands left of the sink vector ``vec``, each
     ``(..., rows, m)`` with ``vec`` ``(..., m)``: 2-D for one string,
-    with a leading ``B`` axis for a stack.  The right-to-left semiring
-    mat-vec chain runs through :func:`repro.semiring.batched_matvec`, so
-    every string of a stack is bit-identical to running it alone.  A
+    with a leading ``B`` axis for a stack, all checked at entry.  The
+    right-to-left semiring mat-vec chain (:func:`_matvec_chain`) does
+    the same operations on each string of a stack as on that string
+    alone, so every result is bit-identical to running it alone.  A
     leftmost ``1 × m`` row vector yields a scalar per string.  Returns
     one result per string, in row-major order of the leading axes.
     """
@@ -236,14 +242,38 @@ class PipelinedMatrixStringArray:
         violation raises ``HazardError`` at finalize.  Hazards are a
         cycle-level property, so strict mode also forces RTL — the fast
         vectorized path never pays for it.
+
+        The operands are checked once here
+        (:func:`~repro.graphs.check_cost_layers`): NaN, the wrong
+        infinity or an overflowing path sum raises ``GraphError``.
         """
+        mats, vec, m = _normalize_string(self.sr, matrices)
+        check_cost_layers(self.sr, [*mats, vec], "matrices contain")
+        return self._run_string(
+            mats, vec, m, record_trace=record_trace, backend=backend, sinks=sinks,
+            injector=injector, observe=observe, strict=strict,
+        )
+
+    def _run_string(
+        self,
+        mats: list[np.ndarray],
+        vec: np.ndarray,
+        m: int,
+        *,
+        record_trace: bool,
+        backend: str | None,
+        sinks: Iterable[Callable[[TraceEvent], None]],
+        injector: object,
+        observe: bool | None,
+        strict: bool,
+    ) -> PipelinedArrayResult:
+        """:meth:`run` on a normalized string whose costs are checked."""
         resolved = normalize_backend(backend, self.backend)
         sinks = tuple(sinks)
         if record_trace or sinks or injector is not None or strict:
             resolved = "rtl"
         if observe is None:
             observe = injector is not None
-        mats, vec, m = _normalize_string(self.sr, matrices)
         work = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
         return run_with_backend(
             resolved,
@@ -380,18 +410,16 @@ class PipelinedMatrixStringArray:
 
         The graph's cost matrices are exactly the string of eq. (8); the
         result is ``f(source stage)`` — a scalar for single-source
-        graphs, the vector of source costs otherwise.
+        graphs, the vector of source costs otherwise.  The graph's costs
+        are read-only and were checked when it was built, so they go to
+        the array as they are: no copy and no second check.
         """
         if graph.semiring.name != self.sr.name:
             raise SystolicError("graph and array use different semirings")
-        return self.run(
-            graph.as_matrices(),
-            record_trace=record_trace,
-            backend=backend,
-            sinks=sinks,
-            injector=injector,
-            observe=observe,
-            strict=strict,
+        mats, vec, m = _normalize_string(self.sr, graph.costs)
+        return self._run_string(
+            mats, vec, m, record_trace=record_trace, backend=backend, sinks=sinks,
+            injector=injector, observe=observe, strict=strict,
         )
 
     # ------------------------------------------------------------------

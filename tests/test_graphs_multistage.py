@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import solve
+from repro.exec import problem_digest
 from repro.graphs import GraphError, MultistageGraph, NodeValueProblem, fig1a_graph, fig1b_problem
 from repro.semiring import MAX_PLUS, MIN_PLUS, chain_product
 
@@ -51,6 +52,41 @@ class TestConstruction:
         c = np.array([[1.0, np.nan], [2.0, 3.0]])
         with pytest.raises(GraphError, match="NaN"):
             MultistageGraph(costs=(c,))
+
+
+class TestReadOnlyCosts:
+    def test_caller_edits_reach_neither_costs_nor_digest(self):
+        src = np.array([[1.0, 2.0]])
+        g = MultistageGraph(costs=(src, np.array([[0.0], [3.0]])))
+        digest = problem_digest(g)
+        src[0, 0] = 50.0
+        assert g.costs[0][0, 0] == 1.0
+        assert problem_digest(g) == digest
+        assert problem_digest(MultistageGraph(costs=g.costs)) == digest
+
+    def test_costs_are_read_only(self):
+        g = fig1a_graph()
+        with pytest.raises(ValueError):
+            g.costs[0][0, 0] = 1.0
+
+    def test_views_are_copied_and_owned_read_only_arrays_shared(self):
+        base = np.arange(6.0).reshape(2, 3)
+        frozen = np.array([[0.0], [1.0], [2.0]])
+        frozen.setflags(write=False)
+        g = MultistageGraph(costs=(base[:1], frozen))
+        assert g.costs[0].base is None and g.costs[1] is frozen
+
+    def test_digest_is_memoized(self):
+        g = fig1a_graph()
+        assert problem_digest(g) is problem_digest(g)
+
+    def test_pickled_copy_is_read_only_without_memo(self):
+        g = fig1a_graph()
+        digest = problem_digest(g)
+        clone = pickle.loads(pickle.dumps(g))
+        assert "_problem_digest" not in vars(clone)
+        assert not clone.costs[0].flags.writeable
+        assert problem_digest(clone) == digest
 
 
 class TestPathOperations:

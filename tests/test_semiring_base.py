@@ -149,3 +149,81 @@ class TestRegistry:
         assert BOOLEAN.idempotent_add
         assert MAX_TIMES.idempotent_add
         assert not PLUS_TIMES.idempotent_add
+
+
+def _same(x: float, y: float) -> bool:
+    """Equal values, with infinities of matching sign."""
+    return x == y or (np.isinf(x) and np.isinf(y) and np.sign(x) == np.sign(y))
+
+
+class TestScalarArrayAgreement:
+    """The pure-Python scalar forms equal the vectorized ufuncs."""
+
+    @pytest.mark.parametrize("sr", ALL_SEMIRINGS, ids=lambda s: s.name)
+    def test_scalar_forms_match_arrays(self, sr: Semiring):
+        elems = [float(x) for x in SAMPLE[sr.name]] + [sr.zero, sr.one]
+        for a in elems:
+            for b in elems:
+                want_add = float(sr.add(sr.asarray(a), sr.asarray(b)))
+                want_mul = float(sr.mul(sr.asarray(a), sr.asarray(b)))
+                got_add, got_mul = sr.scalar_add(a, b), sr.scalar_mul(a, b)
+                assert type(got_add) is float and type(got_mul) is float
+                assert _same(got_add, want_add), (sr.name, "add", a, b)
+                assert _same(got_mul, want_mul), (sr.name, "mul", a, b)
+
+    @pytest.mark.parametrize("sr", ALL_SEMIRINGS, ids=lambda s: s.name)
+    def test_stock_semirings_carry_scalar_forms(self, sr: Semiring):
+        assert sr.scalar_add_op is not None and sr.scalar_mul_op is not None
+
+    def test_raw_mul_is_the_bare_add_for_min_and_max_plus(self):
+        assert MIN_PLUS.raw_mul is np.add and MAX_PLUS.raw_mul is np.add
+        assert PLUS_TIMES.raw_mul is PLUS_TIMES.mul
+
+
+#: Min-plus rebuilt without any specialised forms: every scalar step and
+#: every kernel ⊗ runs the generic vectorized path.
+CUSTOM_MIN_PLUS = Semiring(
+    name="custom-min-plus",
+    add=np.minimum,
+    mul=np.add,
+    zero=np.inf,
+    one=0.0,
+    add_reduce=np.minimum.reduce,
+    add_argreduce=np.argmin,
+    idempotent_add=True,
+)
+
+
+class TestCustomSemiring:
+    def test_falls_back_to_vectorized_forms(self):
+        assert CUSTOM_MIN_PLUS.scalar_add_op is None
+        assert CUSTOM_MIN_PLUS.raw_mul is np.add
+        assert CUSTOM_MIN_PLUS.scalar_add(3.0, 5.0) == 3.0
+        assert CUSTOM_MIN_PLUS.scalar_mul(3.0, 5.0) == 8.0
+
+    @pytest.mark.parametrize("backend", ["rtl", "fast"])
+    def test_solves_through_solve_and_solve_batch(self, backend):
+        from repro import solve, solve_batch
+        from repro.dp import solve_backward
+        from repro.graphs import MultistageGraph, NodeValueProblem
+
+        rng = np.random.default_rng(7)
+        graph = MultistageGraph(
+            costs=tuple(rng.uniform(0, 9, s) for s in [(1, 4), (4, 4), (4, 4), (4, 1)]),
+            semiring=CUSTOM_MIN_PLUS,
+        )
+        problem = NodeValueProblem(
+            values=tuple(rng.uniform(0, 5, 4) for _ in range(5)),
+            edge_cost=lambda x, y: (x - y) ** 2,
+            semiring=CUSTOM_MIN_PLUS,
+        )
+        stock = MultistageGraph(costs=graph.costs)
+        stock_problem = NodeValueProblem(problem.values, problem.edge_cost)
+        problems = [graph, problem]
+        want = [solve_backward(stock).optimum, solve(stock_problem, backend="fast").optimum]
+        looped = [solve(p, backend=backend) for p in problems]
+        batched = solve_batch(problems, backend=backend)
+        for w, a, b in zip(want, looped, batched):
+            assert a.validated and b.validated
+            assert a.optimum == pytest.approx(w)
+            assert b.optimum == pytest.approx(w)
