@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from .._readonly import read_only
 from ..dnc import simulate_chain_product
 from ..dp import (
     eliminate,
@@ -69,7 +70,8 @@ class SolveReport:
     sequential oracle's; ``validated`` asserts they agree.  ``solution``
     is method-specific (a :class:`~repro.graphs.StagePath`, a
     :class:`~repro.dp.matrix_chain.ChainOrder`, an assignment dict, …)
-    and ``detail`` carries the raw architecture result object.
+    and ``detail`` carries the raw architecture result object.  Every
+    array a cacheable report holds is read-only, so a cache can share it.
     """
 
     dp_class: DPClass
@@ -85,6 +87,8 @@ class SolveReport:
     faults: Any = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.solution, np.ndarray):
+            read_only(self.solution)
         if not self.validated and not self._degraded_and_warned():
             raise ValidationError(
                 f"architecture result {self.optimum} disagrees with the "
@@ -165,7 +169,8 @@ def solve(
 
     ``cache`` is a :class:`~repro.exec.cache.SolveCache` (or ``True``
     for the process-wide default): identical problems are served from
-    the cache as equal-but-independent reports.  Side-effectful runs —
+    the cache, and hits share one read-only report; writing into a
+    returned array raises :class:`ValueError`.  Side-effectful runs —
     ``sinks``, ``fault_plan``, ``backend="rtl"`` or ``strict`` — bypass
     it and always execute.
     """
@@ -328,6 +333,7 @@ def _solve_node_value(
         )
     if route == "dnc":
         return _solve_dnc(problem.to_graph(), rec, ref.optimum, backend)
+    read_only((ref.stage_values, ref.decisions))
     return SolveReport(
         dp_class=rec.dp_class,
         method="sequential-sweep",
@@ -435,6 +441,7 @@ def _solve_graph(
             detail=res,
             recommendation=rec,
         )
+    read_only((ref.stage_values, ref.decisions))
     return SolveReport(
         dp_class=rec.dp_class,
         method="sequential-sweep",
@@ -467,7 +474,7 @@ def _solve_dnc(
     k = max(1, math.ceil(n / max(math.log2(n), 1.0)))
     if backend == "rtl":
         sched = simulate_chain_product(
-            n, k, matrices=graph.as_matrices(), semiring=sr
+            n, k, matrices=graph.costs, semiring=sr
         )
         assert sched.product is not None
         validated = validated and _validated(

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .._readonly import read_only
 from ..semiring import MIN_PLUS, Semiring, matmul
 
 __all__ = ["ChainScheduleResult", "simulate_chain_product", "rounds_only"]
@@ -48,6 +49,9 @@ class ChainScheduleResult:
     busy_per_round: tuple[int, ...]  # arrays active in each round
     total_multiplications: int  # always N - 1
     product: np.ndarray | None  # the chain product, when matrices given
+
+    def __post_init__(self) -> None:
+        read_only(self.product)
 
     @property
     def processor_utilization(self) -> float:
@@ -127,7 +131,9 @@ def simulate_chain_product(
 
     segments: list[np.ndarray | None]
     if matrices is not None:
-        segments = [semiring.asarray(m) for m in matrices]
+        # Copies: a one-matrix chain's product is its input, and making
+        # the result read-only must leave the caller's matrix writable.
+        segments = [np.array(m, dtype=semiring.dtype) for m in matrices]
     else:
         segments = [None] * n
 
@@ -164,7 +170,7 @@ def simulate_chain_product(
         wind_down_rounds=rounds - computation,
         busy_per_round=tuple(busy),
         total_multiplications=int(sum(busy)),
-        product=segments[0] if matrices is not None else None,
+        product=segments[0],
     )
 
 

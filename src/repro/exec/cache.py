@@ -1,10 +1,10 @@
 """Digest-keyed LRU cache of :class:`~repro.core.solver.SolveReport`.
 
 The cache maps canonical problem digests (:mod:`repro.exec.digest`) to
-finished solve reports.  Stores and hits are *structural copies*
-(:func:`_copy`) — callers get an equal but independent report, so
-mutating nested arrays in one caller's report can never corrupt
-another's.
+finished solve reports.  Hits share one read-only report: result types
+make their arrays and mappings read-only where they are built, so
+writing into a returned array raises :class:`ValueError` and no caller
+can corrupt another's report.
 
 Side-effectful runs never touch the cache: ``sinks`` (telemetry must
 observe every event of every run), ``fault_plan`` (injections must
@@ -16,15 +16,10 @@ in :func:`cacheable` and is enforced by both ``solve()`` and
 
 from __future__ import annotations
 
-import copy
 import dataclasses
-import enum
-import operator
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable
-
-import numpy as np
 
 __all__ = ["CacheStats", "SolveCache", "cacheable", "default_cache"]
 
@@ -32,62 +27,6 @@ __all__ = ["CacheStats", "SolveCache", "cacheable", "default_cache"]
 def cacheable(sinks: tuple, fault_plan: Any, backend: str, strict: bool) -> bool:
     """Whether a run with these settings may be served from or stored in a cache."""
     return not sinks and fault_plan is None and backend != "rtl" and not strict
-
-
-#: Exact types of the common immutable leaves; a set lookup is far
-#: cheaper than ``isinstance``, so these are checked first.
-_LEAF_TYPES = frozenset({bool, int, float, complex, str, bytes, type(None)})
-#: Every immutable value a copy may share with its original.
-_LEAVES = (*_LEAF_TYPES, enum.Enum, np.generic)
-
-
-def _copy(obj: Any, memo: dict[int, Any]) -> Any:
-    """An independent copy of a report, sharing only what cannot change.
-
-    Arrays are copied; dataclasses, lists, dicts and the tuples that hold
-    a copied part are rebuilt.  Immutable leaves (numbers, strings, enums)
-    and tuples made only of them are shared.  ``memo`` maps the ``id`` of
-    each original to its copy, so aliasing inside one report survives as
-    ``copy.deepcopy`` keeps it; any other type goes through
-    ``copy.deepcopy`` with the same memo.
-    """
-    cls = type(obj)
-    if cls in _LEAF_TYPES:
-        return obj
-    key = id(obj)
-    if key in memo:
-        return memo[key]
-    out: Any
-    if cls is np.ndarray and not obj.dtype.hasobject:
-        out = obj.copy(order="K")
-    elif cls is tuple:
-        if _LEAF_TYPES.issuperset(map(type, obj)):
-            return obj
-        items = tuple([_copy(x, memo) for x in obj])
-        out = obj if all(map(operator.is_, items, obj)) else items
-    elif cls is list:
-        out = [_copy(x, memo) for x in obj]
-    elif cls is dict:
-        out = {_copy(k, memo): _copy(v, memo) for k, v in obj.items()}
-    elif isinstance(obj, _LEAVES):
-        return obj
-    elif hasattr(cls, "__dataclass_params__") and hasattr(obj, "__dict__"):
-        state = vars(obj).copy()
-        for k, v in state.items():
-            t = type(v)
-            # Inline checks for the common shared fields save a call each.
-            if t in _LEAF_TYPES or (
-                t is tuple and _LEAF_TYPES.issuperset(map(type, v))
-            ):
-                continue
-            state[k] = _copy(v, memo)
-        # Bypasses ``__init__`` and the frozen ``__setattr__``, as ``deepcopy`` does.
-        out = object.__new__(cls)
-        object.__setattr__(out, "__dict__", state)
-    else:
-        return copy.deepcopy(obj, memo)
-    memo[key] = out
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,7 +67,7 @@ class SolveCache:
             return len(self._entries)
 
     def get(self, key: Hashable) -> Any | None:
-        """The cached report for ``key`` (an independent copy), or ``None``."""
+        """The stored report for ``key`` (shared and read-only), or ``None``."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -136,15 +75,14 @@ class SolveCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-        return _copy(entry, {})
+        return entry
 
     def put(self, key: Hashable, report: Any) -> None:
-        """Store ``report`` under ``key``, evicting the LRU entry if full."""
-        stored = _copy(report, {})
+        """Store ``report`` itself (no copy), evicting the LRU entry if full."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = stored
+            self._entries[key] = report
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self._evictions += 1

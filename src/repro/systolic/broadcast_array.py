@@ -31,6 +31,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .._readonly import read_only
 from ..graphs import MultistageGraph
 from ..semiring import MIN_PLUS, Semiring
 from ..semiring.matrix import matvec
@@ -69,6 +70,9 @@ class BroadcastArrayResult:
     #: phase, accumulators as latched at its end), captured when
     #: ``observe`` was requested — the ABFT detector inputs.
     phase_values: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+
+    def __post_init__(self) -> None:
+        read_only((self.value, self.decisions, self.phase_values))
 
 
 class BroadcastMatrixStringArray:

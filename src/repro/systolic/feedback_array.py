@@ -52,6 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .._readonly import read_only
 from ..graphs import NodeValueProblem, StagePath
 from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
@@ -95,6 +96,9 @@ class FeedbackArrayResult:
     #: stage ``k``; stage 1 must be all 1̄), captured when ``observe`` was
     #: requested — the ABFT detector inputs.  Empty otherwise.
     stage_values: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self) -> None:
+        read_only((self.final_stage_values, self.stage_values))
 
 
 def _serial_ops(n_stages: int, m: int) -> int:
@@ -170,11 +174,12 @@ def _fast_kernel(
         nodes = [winner]
         for k in range(n_layers - 1, -1, -1):
             nodes.append(flat[(k * count + i) * m + nodes[-1]])
+        # The row is copied out, so a cached result does not keep the stack alive.
         results.append(
             FeedbackArrayResult(
                 optimum=optimum,
                 path=StagePath(nodes=tuple(reversed(nodes)), cost=optimum),
-                final_stage_values=final_h,
+                final_stage_values=final_h.copy(),
                 report=report,
             )
         )

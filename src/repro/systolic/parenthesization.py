@@ -38,10 +38,11 @@ the RTL sweep exactly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .._readonly import read_only
 from ..dp.matrix_chain import ChainOrder, _check_dims
 from .fabric import (
     BackendMismatch,
@@ -70,7 +71,7 @@ class ParenthesizationRun:
     order: ChainOrder
     steps: int  # schedule length in array steps
     num_processors: int  # one per OR-node: N(N-1)/2
-    subproblem_completion: dict[tuple[int, int], int]  # (i, j) -> step
+    subproblem_completion: Mapping[tuple[int, int], int]  # (i, j) -> step
     alternatives_evaluated: int  # total AND-node evaluations
     #: Uniform measurement record (one PE per OR-node; a tick per step).
     report: RunReport | None = None
@@ -81,7 +82,17 @@ class ParenthesizationRun:
     #: With ``observe``: the final per-subproblem cost table as read from
     #: the ``M`` registers, for cell-level cross-checks against the
     #: sequential DP table.  ``None`` otherwise.
-    cost_table: dict[tuple[int, int], float] | None = None
+    cost_table: Mapping[tuple[int, int], float] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("subproblem_completion", "cost_table"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # A read-only mapping does not pickle: copies and unpickled runs
+        # go through the constructor with plain dicts, as it freezes them.
+        args = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return type(self), tuple(dict(a) if isinstance(a, Mapping) else a for a in args)
 
     @property
     def per_size_completion(self) -> dict[int, int]:

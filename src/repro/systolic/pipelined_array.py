@@ -42,6 +42,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .._readonly import read_only
 from ..graphs import MultistageGraph, check_cost_layers
 from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
@@ -74,6 +75,9 @@ class PipelinedArrayResult:
     #: it, phase output as latched), captured when ``observe`` was
     #: requested — the data the ABFT detectors check.  Empty otherwise.
     phase_values: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+
+    def __post_init__(self) -> None:
+        read_only((self.value, self.phase_values))
 
 
 def _normalize_string(
@@ -185,7 +189,8 @@ def _fast_kernel(
             PipelinedArrayResult(value=sr.asarray(float(v[0])), report=report)
             for v in values
         ]
-    return [PipelinedArrayResult(value=v, report=report) for v in values]
+    # Rows are copied out, so a cached result does not keep the stack alive.
+    return [PipelinedArrayResult(value=v.copy(), report=report) for v in values]
 
 
 class PipelinedMatrixStringArray:
