@@ -18,8 +18,18 @@ oracle.
 * **polyadic-nonserial** (matrix-chain) → the serialized systolic
   parenthesization array (broadcast mapping on request).
 
-Every path cross-checks the optimum against the corresponding sequential
-solver and reports both values.
+Every report says how its optimum was checked (``SolveReport.validation``):
+
+* ``"certificate"`` — the ``fast``/``auto`` Fig. 5, Fig. 3,
+  divide-and-conquer and parenthesization routes, and batch rows.  The
+  kernel's own per-stage tables are checked against the paper's
+  recurrence in one vectorized pass (:mod:`repro.dp.certificate`); no
+  sequential solver re-runs.
+* ``"oracle"`` — the ``rtl`` backend (and any run forced onto it by
+  sinks or ``strict``), fault runs and Fig. 4: the optimum is compared
+  with an independent sequential solver, the paper's uniprocessor
+  baseline.
+* ``"sequential"`` — the route is the sequential solver itself.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from ..dp import (
     solve_matrix_chain,
     solve_node_value,
 )
+from ..dp.certificate import certify_backward, require_argreduce
 from ..dp.nonserial import NonserialObjective
 from ..graphs import MultistageGraph, NodeValueProblem
 from ..systolic import (
@@ -56,7 +67,8 @@ __all__ = ["SolveReport", "ValidationError", "solve"]
 
 
 class ValidationError(AssertionError):
-    """A report's architecture result disagrees with its sequential oracle.
+    """A report's architecture result failed its check: it disagrees with
+    the sequential oracle, or its certificate was rejected.
 
     Subclasses :class:`AssertionError`, so handlers of that still catch it.
     """
@@ -66,10 +78,21 @@ class ValidationError(AssertionError):
 class SolveReport:
     """Unified result of the dispatch solver.
 
-    ``optimum`` is the parallel architecture's answer; ``reference`` the
-    sequential oracle's; ``validated`` asserts they agree.  ``solution``
-    is method-specific (a :class:`~repro.graphs.StagePath`, a
-    :class:`~repro.dp.matrix_chain.ChainOrder`, an assignment dict, …)
+    ``optimum`` is the parallel architecture's answer and ``validation``
+    names the check that ran on it:
+
+    * ``"certificate"``: the fast kernel's tables satisfy the paper's
+      recurrence exactly (:mod:`repro.dp.certificate`); ``reference`` is
+      the certified optimum and ``validated`` the certificate's verdict.
+    * ``"oracle"``: ``reference`` is an independent sequential solver's
+      optimum and ``validated`` asserts the two agree.
+    * ``"sequential"``: the route is the sequential solver, so
+      ``reference`` is ``optimum`` and ``validated`` is true.
+
+    A report that is not validated raises :class:`ValidationError`,
+    unless a degrade-and-warn fault run returns it flagged.
+    ``solution`` is method-specific (a :class:`~repro.graphs.StagePath`,
+    a :class:`~repro.dp.matrix_chain.ChainOrder`, an assignment dict, …)
     and ``detail`` carries the raw architecture result object.  Every
     array a cacheable report holds is read-only, so a cache can share it.
     """
@@ -85,20 +108,34 @@ class SolveReport:
     #: :class:`~repro.faults.FaultRunReport` when the run executed under
     #: a fault plan; ``None`` on ordinary (healthy) dispatches.
     faults: Any = None
+    #: ``"certificate"``, ``"oracle"`` or ``"sequential"``: the check that ran.
+    validation: str = "oracle"
 
     def __post_init__(self) -> None:
+        if self.validation not in _VALIDATIONS:
+            raise ValueError(
+                f"unknown validation {self.validation!r}; expected one of {_VALIDATIONS}"
+            )
         if isinstance(self.solution, np.ndarray):
             read_only(self.solution)
-        if not self.validated and not self._degraded_and_warned():
+        if self.validated or self._degraded_and_warned():
+            return
+        if self.validation == "certificate":
             raise ValidationError(
-                f"architecture result {self.optimum} disagrees with the "
-                f"sequential reference {self.reference}"
+                f"the certificate rejects architecture result {self.optimum}"
             )
+        raise ValidationError(
+            f"architecture result {self.optimum} disagrees with the "
+            f"sequential reference {self.reference}"
+        )
 
     def _degraded_and_warned(self) -> bool:
         """Degrade-and-warn runs may return a flagged, unvalidated result."""
         return self.faults is not None and self.faults.outcome == "detected"
 
+
+#: The checks a report can name in ``SolveReport.validation``.
+_VALIDATIONS = ("certificate", "oracle", "sequential")
 
 #: Every ``prefer`` value some route reads; ``None`` keeps the Table-1 default.
 _PREFERENCES = ("pipelined", "broadcast", "sequential", "dnc", "systolic")
@@ -117,6 +154,57 @@ def _validated(a: Any, b: Any) -> bool:
     return bool(np.all(np.isclose(a, b, rtol=1e-9, atol=1e-9)))
 
 
+def _certified(
+    rec: Recommendation,
+    method: str,
+    optimum: float,
+    solution: Any,
+    detail: Any,
+    certified: bool,
+) -> SolveReport:
+    """The report of a fast kernel run whose certificate verdict is
+    ``certified``; ``reference`` is the certified optimum."""
+    return SolveReport(
+        dp_class=rec.dp_class,
+        method=method,
+        optimum=optimum,
+        reference=optimum,
+        validated=certified,
+        solution=solution,
+        detail=detail,
+        recommendation=rec,
+        validation="certificate",
+    )
+
+
+def _checked(
+    rec: Recommendation,
+    method: str,
+    optimum: float,
+    solution: Any,
+    detail: Any,
+    certified: bool | None,
+    oracle: Callable[[], float],
+) -> SolveReport:
+    """The report of an array run: certified when its kernel left a
+    verdict, else (the rtl machine ran, or the design has no
+    certificate) compared with the sequential ``oracle()``."""
+    if certified is not None:
+        return _certified(rec, method, optimum, solution, detail, certified)
+    reference = oracle()
+    return SolveReport(
+        dp_class=rec.dp_class,
+        method=method,
+        optimum=optimum,
+        reference=reference,
+        validated=_validated(optimum, reference),
+        solution=solution,
+        detail=detail,
+        recommendation=rec,
+        validation="oracle",
+    )
+
+
 def solve(
     problem: object,
     *,
@@ -130,6 +218,15 @@ def solve(
 ) -> SolveReport:
     """Classify ``problem`` per Table 1, solve it, and validate.
 
+    Validation depends on the path (``report.validation``): ``fast`` and
+    ``auto`` array runs are certified from the kernel's own tables
+    (``"certificate"``; ``reference`` is then the certified optimum),
+    ``rtl`` runs, fault runs and Fig. 4 are compared with an independent
+    sequential solver (``"oracle"``), and sequential routes are the
+    solver itself (``"sequential"``).  A failed check raises
+    :class:`ValidationError`.  Serial problems over a semiring without
+    an arg-reduction raise :class:`ValueError`.
+
     ``prefer`` overrides the architecture within a class:
     ``"pipelined"``/``"broadcast"``/``"sequential"`` for edge-cost serial
     problems, ``"broadcast"``/``"systolic"`` for matrix-chain ordering,
@@ -138,13 +235,14 @@ def solve(
 
     ``backend`` selects the array execution engine for every systolic
     path: ``"rtl"`` (cycle-accurate machine), ``"fast"`` (vectorized
-    whole-array reductions with closed-form counters), or ``"auto"``
-    (fast, cross-validated against RTL on small instances).  The
-    divide-and-conquer path computes its value with the Θ(N·m²) mat-vec
-    chain on every backend and reports the eq.-29 schedule counters in
-    ``detail``; only ``"rtl"`` also multiplies the matrix string on the
-    K scheduled arrays (``detail.product``) and checks it against the
-    chain.  Sequential sweeps and variable elimination ignore it.
+    whole-array reductions with closed-form counters and a certificate),
+    or ``"auto"`` (fast, cross-validated against RTL on small
+    instances).  The divide-and-conquer path computes its value with the
+    Θ(N·m²) mat-vec chain on every backend and reports the eq.-29
+    schedule counters in ``detail``; only ``"rtl"`` also multiplies the
+    matrix string on the K scheduled arrays (``detail.product``) and
+    checks it against the chain.  Sequential sweeps and variable
+    elimination ignore it.
 
     ``sinks`` are telemetry callables (``TraceEvent -> None``, e.g.
     :class:`~repro.telemetry.MetricsSink` or
@@ -305,6 +403,7 @@ def _solve_faulty(
         detail=result,
         recommendation=rec,
         faults=fault_report,
+        validation="oracle",
     )
 
 
@@ -315,24 +414,25 @@ def _solve_node_value(
     sinks: tuple = (),
     strict: bool = False,
 ) -> SolveReport:
-    ref = solve_node_value(problem)
+    require_argreduce(problem.semiring)
     route = _route(problem, rec, None)
     if route == "feedback":
         res = FeedbackSystolicArray(problem.semiring).run(
             problem, backend=backend, sinks=sinks, strict=strict
         )
-        return SolveReport(
-            dp_class=rec.dp_class,
-            method="fig5-feedback-array",
-            optimum=res.optimum,
-            reference=ref.optimum,
-            validated=_validated(res.optimum, ref.optimum),
-            solution=res.path,
-            detail=res,
-            recommendation=rec,
+        return _checked(
+            rec, "fig5-feedback-array", res.optimum, res.path, res, res.certified,
+            lambda: solve_node_value(problem).optimum,
         )
     if route == "dnc":
-        return _solve_dnc(problem.to_graph(), rec, ref.optimum, backend)
+        return _solve_dnc(
+            problem.to_graph(), rec, backend, lambda: solve_node_value(problem).optimum
+        )
+    return _sequential(rec, solve_node_value(problem))
+
+
+def _sequential(rec: Recommendation, ref: Any) -> SolveReport:
+    """The report of a route that is the sequential sweep ``ref`` itself."""
     read_only((ref.stage_values, ref.decisions))
     return SolveReport(
         dp_class=rec.dp_class,
@@ -343,6 +443,7 @@ def _solve_node_value(
         solution=ref.path,
         detail=ref,
         recommendation=rec,
+        validation="sequential",
     )
 
 
@@ -394,93 +495,85 @@ def _solve_graph(
     sinks: tuple = (),
     strict: bool = False,
 ) -> SolveReport:
-    ref = solve_backward(graph)
+    require_argreduce(graph.semiring)
     method = _route(graph, rec, prefer)
+    oracle = lambda: solve_backward(graph).optimum  # noqa: E731
     if method == "dnc":
-        return _solve_dnc(graph, rec, ref.optimum, backend)
-    if method in ("pipelined", "broadcast"):
-        array: Any = (
-            PipelinedMatrixStringArray(graph.semiring)
-            if method == "pipelined"
-            else BroadcastMatrixStringArray(graph.semiring)
-        )
-        target = graph
-        if not _graph_fits_linear_array(graph):
-            # Uniform multi-source/sink graphs run after framing with
-            # zero-cost virtual terminals (the paper's degenerate
-            # row/column-vector boundary).
-            from ..graphs import add_virtual_terminals
+        return _solve_dnc(graph, rec, backend, oracle)
+    if method == "sequential":
+        return _sequential(rec, solve_backward(graph))
+    array: Any = (
+        PipelinedMatrixStringArray(graph.semiring)
+        if method == "pipelined"
+        else BroadcastMatrixStringArray(graph.semiring)
+    )
+    target = graph
+    if not _graph_fits_linear_array(graph):
+        # Uniform multi-source/sink graphs run after framing with
+        # zero-cost virtual terminals (the paper's degenerate
+        # row/column-vector boundary).
+        from ..graphs import add_virtual_terminals
 
-            target = add_virtual_terminals(graph)
-        if method == "broadcast" and target.is_single_source_sink:
-            # The Fig. 4 ARG path registers let the dispatcher hand back
-            # a traced optimal path instead of only the cost.
-            path, res = array.run_graph_with_path(
-                target, backend=backend, sinks=sinks, strict=strict
-            )
-            return SolveReport(
-                dp_class=rec.dp_class,
-                method="fig4-broadcast-array",
-                optimum=path.cost,
-                reference=ref.optimum,
-                validated=_validated(path.cost, ref.optimum),
-                solution=path,
-                detail=res,
-                recommendation=rec,
-            )
-        res = array.run_graph(target, backend=backend, sinks=sinks, strict=strict)
-        value = np.asarray(res.value)
-        optimum = float(graph.semiring.add_reduce(value, axis=None))
-        return SolveReport(
-            dp_class=rec.dp_class,
-            method=f"fig{'3-pipelined' if method == 'pipelined' else '4-broadcast'}-array",
-            optimum=optimum,
-            reference=ref.optimum,
-            validated=_validated(optimum, ref.optimum),
-            solution=res.value,
-            detail=res,
-            recommendation=rec,
+        target = add_virtual_terminals(graph)
+    # Fig. 4 has no certificate, so it keeps the oracle on every backend.
+    if method == "broadcast" and target.is_single_source_sink:
+        # The Fig. 4 ARG path registers let the dispatcher hand back
+        # a traced optimal path instead of only the cost.
+        path, res = array.run_graph_with_path(
+            target, backend=backend, sinks=sinks, strict=strict
         )
-    read_only((ref.stage_values, ref.decisions))
-    return SolveReport(
-        dp_class=rec.dp_class,
-        method="sequential-sweep",
-        optimum=ref.optimum,
-        reference=ref.optimum,
-        validated=True,
-        solution=ref.path,
-        detail=ref,
-        recommendation=rec,
+        return _checked(rec, "fig4-broadcast-array", path.cost, path, res, None, oracle)
+    res = array.run_graph(target, backend=backend, sinks=sinks, strict=strict)
+    optimum = float(graph.semiring.add_reduce(np.asarray(res.value), axis=None))
+    return _checked(
+        rec,
+        f"fig{'3-pipelined' if method == 'pipelined' else '4-broadcast'}-array",
+        optimum,
+        res.value,
+        res,
+        res.certified if method == "pipelined" else None,
+        oracle,
     )
 
 
 def _solve_dnc(
-    graph: MultistageGraph, rec: Recommendation, reference: float, backend: str
+    graph: MultistageGraph,
+    rec: Recommendation,
+    backend: str,
+    oracle: Callable[[], float],
 ) -> SolveReport:
     """Section-4 divide-and-conquer over ``graph``'s matrix string.
 
     The value is the right-to-left mat-vec chain, Θ(N·m²) and in the
     sum order of :func:`~repro.dp.solve_backward`; ``solution`` is its
     per-source vector.  ``detail`` is the eq.-29 schedule of ``K``
-    arrays: symbolic on ``fast``/``auto``, and on ``rtl`` the executed
-    Θ(N·m³) product, which must agree with the chain.
+    arrays.  On ``fast``/``auto`` it is symbolic and the chain's stage
+    vectors are certified (:func:`~repro.dp.certificate.certify_backward`);
+    on ``rtl`` it is the executed Θ(N·m³) product, which must agree with
+    the chain, and ``oracle()`` is the reference.
     """
     sr = graph.semiring
-    value = _matvec_chain(sr, graph.costs, sr.ones(graph.stage_sizes[-1]))
+    vec = sr.ones(graph.stage_sizes[-1])
+    chain = _matvec_chain(sr, graph.costs, vec)
+    value = chain[0]
     optimum = float(sr.add_reduce(value, axis=None))
-    validated = _validated(optimum, reference)
 
     n = graph.num_layers
     k = max(1, math.ceil(n / max(math.log2(n), 1.0)))
     if backend == "rtl":
+        reference = oracle()
         sched = simulate_chain_product(
             n, k, matrices=graph.costs, semiring=sr
         )
         assert sched.product is not None
-        validated = validated and _validated(
+        validated = _validated(optimum, reference) and _validated(
             sr.add_reduce(sched.product, axis=1), value
         )
+        validation = "oracle"
     else:
+        reference = optimum
+        validated = bool(certify_backward(sr, graph.costs, vec, chain))
+        validation = "certificate"
         sched = simulate_chain_product(n, k)
     return SolveReport(
         dp_class=DPClass.POLYADIC_SERIAL,
@@ -491,6 +584,7 @@ def _solve_dnc(
         solution=value,
         detail=sched,
         recommendation=rec,
+        validation=validation,
     )
 
 
@@ -502,20 +596,26 @@ def _solve_chain(
     sinks: tuple = (),
     strict: bool = False,
 ) -> SolveReport:
-    ref = solve_matrix_chain(problem.dims)
     engine: Any = (
         BroadcastParenthesizer() if prefer == "broadcast" else SystolicParenthesizer()
     )
     run = engine.run(problem.dims, backend=backend, sinks=sinks, strict=strict)
+    cost = float(run.order.cost)
+    if run.certified is None:
+        reference = float(solve_matrix_chain(problem.dims).cost)
+        validated, validation = cost == reference, "oracle"
+    else:
+        reference, validated, validation = cost, run.certified, "certificate"
     return SolveReport(
         dp_class=rec.dp_class,
         method=engine.design_name,
-        optimum=float(run.order.cost),
-        reference=float(ref.cost),
-        validated=run.order.cost == ref.cost,
+        optimum=cost,
+        reference=reference,
+        validated=validated,
         solution=run.order,
         detail=run,
         recommendation=rec,
+        validation=validation,
     )
 
 
@@ -526,6 +626,7 @@ def _solve_nonserial(problem: NonserialObjective, rec: Recommendation) -> SolveR
     # objective has the banded shape it applies to.
     reference = res.optimum
     method = "variable-elimination"
+    validation = "sequential"
     detail: Any = res
     try:
         from ..dp.nonserial import group_variables_to_serial
@@ -534,6 +635,7 @@ def _solve_nonserial(problem: NonserialObjective, rec: Recommendation) -> SolveR
         seq = solve_backward(serial_graph)
         reference = seq.optimum
         method = "grouping-transform+serial-sweep"
+        validation = "oracle"
         detail = (res, seq)
     except ValueError:
         pass  # not banded: elimination result stands alone
@@ -546,4 +648,5 @@ def _solve_nonserial(problem: NonserialObjective, rec: Recommendation) -> SolveR
         solution=res.assignment,
         detail=detail,
         recommendation=rec,
+        validation=validation,
     )

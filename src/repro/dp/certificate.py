@@ -1,0 +1,188 @@
+"""Exact optimality certificates over the tables a fast kernel builds.
+
+A fast array kernel is validated by checking the paper's recurrence on
+the per-stage tables it already computed, instead of re-solving the
+problem with a sequential oracle.  Each check is one vectorized pass
+over all stages at once, where the kernel had to go stage by stage:
+
+* :func:`certify_forward` — eq. (2), the Fig. 5 feedback array.  For
+  every stage ``k`` and every value ``j``: no predecessor beats the
+  recorded ``h_{k+1}[j]`` (``h_{k+1} ⊕ (h_k ⊗ C_k) == h_{k+1}``), and
+  the predecessor in the path register reaches it (a gather equals
+  ``h_{k+1}``).  Together they say ``h_{k+1}[j]`` is the ⊕ of its
+  candidates and the traced path attains it.
+* :func:`certify_backward` — eq. (1), the right-to-left mat-vec chain
+  of the Fig. 3 array and the divide-and-conquer route:
+  ``v_k == ⊕_j C_k[:, j] ⊗ v_{k+1}[j]`` for every stage, checked on runs
+  of same-shape layers.  The chain keeps no decisions, so this one
+  recomputes the ⊕, but for all stages at once.
+* :func:`certify_interval` — eq. (6), the parenthesization arrays:
+  every cell of the ``M`` table equals
+  ``min_k M[i,k] + M[k+1,j] + r_{i-1}·r_k·r_j``, the recorded split
+  attains it, and the returned order costs ``M[1, n]`` scalar
+  multiplications.
+
+Comparisons are exact ``==``: a certificate repeats the kernel's own
+⊗ on the same operands, and the ⊕ of every semiring with an
+arg-reduction selects one of its operands, so no order of folding can
+round differently.  A semiring without one has no certificate:
+:func:`require_argreduce` raises the :class:`ValueError` the sequential
+oracles raise.  Stages are processed in chunks of at most
+:data:`CHUNK_ELEMENTS` elements per temporary, so a long chain costs no
+more memory than a short one.  Each function returns the verdict per
+instance of a ``(B, …)`` stack.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from ..semiring import Semiring
+from .matrix_chain import ChainOrder, count_scalar_multiplications
+
+__all__ = [
+    "CHUNK_ELEMENTS",
+    "certify_backward",
+    "certify_forward",
+    "certify_interval",
+    "require_argreduce",
+]
+
+#: Largest number of elements in one certificate temporary (256 KB of
+#: float64): large enough that a chunk amortizes its per-op overhead,
+#: small enough that a 256-stage chain leaves peak memory unchanged.
+CHUNK_ELEMENTS = 1 << 15
+
+
+def require_argreduce(sr: Semiring) -> None:
+    """Raise :class:`ValueError` unless ``sr`` can extract decisions."""
+    if sr.add_argreduce is None:
+        raise ValueError(f"semiring {sr.name!r} does not support decision extraction")
+
+
+def _chunks(start: int, stop: int, per_item: int) -> Iterator[tuple[int, int]]:
+    """``[a, b)`` ranges covering ``[start, stop)`` within the element budget."""
+    step = max(1, CHUNK_ELEMENTS // max(per_item, 1))
+    for a in range(start, stop, step):
+        yield a, min(a + step, stop)
+
+
+def _stages(layers: Sequence[np.ndarray] | np.ndarray, a: int, b: int) -> np.ndarray:
+    """Layers ``a..b-1`` on a leading stage axis: a view of an already
+    stacked ``(L, …)`` array, a stacked copy of a sequence.  ``np.array``
+    stacks a list of same-shape arrays in one C loop (``np.stack`` makes
+    a view per item first)."""
+    if isinstance(layers, np.ndarray):
+        return layers[a:b]
+    return np.array(layers[a:b])
+
+
+def certify_forward(
+    sr: Semiring,
+    layers: Sequence[np.ndarray] | np.ndarray,
+    hs: np.ndarray,
+    registers: np.ndarray,
+    optima: np.ndarray,
+    winners: np.ndarray,
+) -> np.ndarray:
+    """Certify a forward sweep ``h_{k+1}[j] = ⊕_i h_k[i] ⊗ C_k[i, j]``.
+
+    ``layers`` are the ``L`` cost layers, each ``(…, m, m)`` (or one
+    ``(L, …, m, m)`` array); ``hs`` is the ``(L+1, …, m)`` stack of stage
+    vectors with ``hs[0] = 1̄``; ``registers`` the ``(L, …, m)`` path
+    registers; ``optima`` and ``winners`` the ``(…)`` final fold and its
+    winning index.  Returns the ``(…)`` boolean verdict.
+    """
+    require_argreduce(sr)
+    optima, winners = np.asarray(optima), np.asarray(winners)
+    final = hs[-1]
+    ok = np.all(hs[0] == sr.one, axis=-1)
+    ok &= np.all(sr.add(optima[..., None], final) == optima[..., None], axis=-1)
+    ok &= np.take_along_axis(final, winners[..., None], axis=-1)[..., 0] == optima
+    m = hs.shape[-1]
+    per_stage = math.prod(hs.shape[1:-1]) * m * m
+    for a, b in _chunks(0, len(registers), per_stage):
+        cand = sr.raw_mul(hs[a:b, ..., :, None], _stages(layers, a, b))
+        nxt = hs[a + 1 : b + 1, ..., None, :]
+        beaten = sr.add(nxt, cand) != nxt
+        reached = np.take_along_axis(cand, registers[a:b, ..., None, :], axis=-2) == nxt
+        ok &= ~np.any(beaten, axis=(0, -2, -1)) & np.all(reached, axis=(0, -2, -1))
+    return np.asarray(ok)
+
+
+def certify_backward(
+    sr: Semiring,
+    mats: Sequence[np.ndarray],
+    vec: np.ndarray,
+    values: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Certify a right-to-left chain ``v_k = ⊕_j C_k[:, j] ⊗ v_{k+1}[j]``.
+
+    ``mats`` are the ``L`` operands, each ``(…, rows, cols)``; ``values``
+    the ``L + 1`` stage vectors the chain kept, ``values[L]`` being the
+    sink vector ``vec``.  Consecutive same-shape layers are checked
+    together, each ``C_k`` transposed so the ⊕ over ``j`` folds whole
+    rows instead of running along short ones.  That changes the order
+    of the ⊕, which is exact only for a ⊕ that selects an operand, so
+    the semiring needs an arg-reduction.  Returns the ``(…)`` boolean
+    verdict.
+    """
+    require_argreduce(sr)
+    ok = np.all(values[-1] == vec, axis=-1)
+    start, count = 0, len(mats)
+    while start < count:
+        shape = mats[start].shape
+        stop = start + 1
+        while stop < count and mats[stop].shape == shape:
+            stop += 1
+        for a, b in _chunks(start, stop, math.prod(shape)):
+            flipped = np.array([np.swapaxes(c, -1, -2) for c in mats[a:b]])
+            nxt = np.array(values[a + 1 : b + 1])
+            got = sr.add_reduce(sr.raw_mul(flipped, nxt[..., :, None]), axis=-2)
+            ok &= np.all(got == np.array(values[a:b]), axis=(0, -1))
+        start = stop
+    return np.asarray(ok)
+
+
+def certify_interval(
+    dims: Sequence[int], table: np.ndarray, splits: np.ndarray, order: ChainOrder
+) -> bool:
+    """Certify a matrix-chain table of eq. (6).
+
+    ``table`` and ``splits`` are 1-based ``(n+2, n+2)`` arrays: ``M[i, j]``
+    the least cost of ``M_i … M_j`` and ``S[i, j]`` its split.  Every
+    cell ``i < j`` must equal its minimum over splits (one ``(n, n, n)``
+    op, chunked by rows) and be attained at ``S[i, j]``; the diagonal is
+    0; ``order`` must cost ``M[1, n]`` by
+    :func:`~repro.dp.count_scalar_multiplications`.
+    """
+    r = np.asarray(dims, dtype=np.int64)
+    n = r.size - 1
+    cells = table[1 : n + 1, 1 : n + 1]  # [i-1, j-1] = M[i, j]
+    if order.cost != cells[0, -1] or order.cost != count_scalar_multiplications(
+        dims, order.expression
+    )[0]:
+        return False
+    if np.any(np.diagonal(cells) != 0):
+        return False
+    idx = np.arange(1, n + 1)
+    below = table[2 : n + 2, 1 : n + 1].T  # [j-1, k-1] = M[k+1, j]
+    rk = r[1:]  # r_k, and r_j
+    never = np.iinfo(np.int64).max
+    for a, b in _chunks(0, n, n * n):
+        i = idx[a:b, None, None]
+        # cost[i, j, k] of splitting M_i … M_j after M_k.
+        cost = cells[a:b, None, :] + below[None] + r[a:b, None, None] * rk[None, :, None] * rk
+        valid = (i <= idx) & (idx < idx[:, None])  # i <= k < j
+        best = np.where(valid, cost, never).min(axis=-1)
+        upper = idx[a:b, None] < idx  # cells with i < j
+        split = splits[1 : n + 1, 1 : n + 1][a:b]
+        in_range = (idx[a:b, None] <= split) & (split < idx)
+        at_split = np.take_along_axis(cost, np.clip(split - 1, 0, n - 1)[..., None], axis=-1)
+        good = (best == cells[a:b]) & in_range & (at_split[..., 0] == cells[a:b])
+        if not np.all(good | ~upper):
+            return False
+    return True

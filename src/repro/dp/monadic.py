@@ -24,6 +24,7 @@ import numpy as np
 
 from ..graphs import MultistageGraph, NodeValueProblem, StagePath
 from ..semiring import Semiring
+from .certificate import require_argreduce
 
 __all__ = ["MonadicSolution", "solve_backward", "solve_forward", "solve_node_value"]
 
@@ -76,8 +77,7 @@ def solve_backward(graph: MultistageGraph) -> MonadicSolution:
     paper's uniprocessor baseline.
     """
     sr = graph.semiring
-    if sr.add_argreduce is None:
-        raise ValueError(f"semiring {sr.name!r} does not support decision extraction")
+    require_argreduce(sr)
     sizes = graph.stage_sizes
     n_stages = graph.num_stages
     values: list[np.ndarray] = [np.empty(0)] * n_stages
@@ -115,8 +115,7 @@ def solve_forward(graph: MultistageGraph) -> MonadicSolution:
     :func:`solve_backward` (the tests assert this on random instances).
     """
     sr = graph.semiring
-    if sr.add_argreduce is None:
-        raise ValueError(f"semiring {sr.name!r} does not support decision extraction")
+    require_argreduce(sr)
     sizes = graph.stage_sizes
     n_stages = graph.num_stages
     values: list[np.ndarray] = [np.empty(0)] * n_stages

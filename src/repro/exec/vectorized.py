@@ -19,7 +19,11 @@ path and closed-form counters included (the cross-backend fuzz suite
 asserts exact equality).  This module holds only the plumbing around
 the kernels: a group is prepared once into a *payload* (a plain dict of
 stacked ``ndarray``s plus the semiring), the payload runs through its
-kernel, and each batch row becomes one report.
+kernel, and each batch row becomes one report.  Each kernel certifies
+its own stacked tables (:mod:`repro.dp.certificate`), so every row is
+validated by the same check as a ``solve(backend="fast")`` call, row by
+row: ``validation`` is ``"certificate"`` and ``reference`` the certified
+optimum.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.solver import SolveReport
+from ..core.solver import SolveReport, _certified
+from ..dp.certificate import require_argreduce
 from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
-from ..graphs.multistage import GraphError
 from ..systolic.feedback_array import _fast_kernel as feedback_kernel
 from ..systolic.pipelined_array import _fast_kernel as pipelined_kernel
 from .grouping import Group
@@ -53,18 +57,15 @@ def prepare_payload(group: Group) -> dict[str, Any]:
 def _prepare_feedback(group: Group) -> dict[str, Any]:
     problems: list[NodeValueProblem] = group.problems
     first = problems[0]
-    n_stages = first.num_stages
-    m = first.stage_sizes[0]
-    layers = [
-        np.stack([p.cost_matrix(k) for p in problems])
-        for k in range(n_stages - 1)
-    ]
+    # One stacking op over every problem's memoized layers, stage-major so
+    # each stage's (B, m, m) block is contiguous for the kernel.
+    layers = np.array(list(zip(*(p._cost_layers for p in problems))))
     return {
         "kind": "feedback",
         "semiring": first.semiring,
-        "n_stages": n_stages,
-        "m": m,
-        "layers": layers,  # list of (B, m, m)
+        "n_stages": first.num_stages,
+        "m": first.stage_sizes[0],
+        "layers": layers,  # (N-1, B, m, m)
         "recommendations": list(group.recommendations),
     }
 
@@ -104,42 +105,28 @@ def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
 
 def _run_feedback(payload: dict[str, Any]) -> list[SolveReport]:
     sr = payload["semiring"]
-    if sr.add_argreduce is None:  # pragma: no cover - all stock semirings have one
-        raise GraphError(f"semiring {sr.name!r} has no arg-reduction")
-    results = feedback_kernel(sr, [sr.asarray(a) for a in payload["layers"]])
+    require_argreduce(sr)
+    results = feedback_kernel(sr, sr.asarray(payload["layers"]))
     return [
-        SolveReport(
-            dp_class=rec.dp_class,
-            method="fig5-feedback-array",
-            optimum=res.optimum,
-            reference=res.optimum,
-            validated=True,
-            solution=res.path,
-            detail=res,
-            recommendation=rec,
-        )
+        _certified(rec, "fig5-feedback-array", res.optimum, res.path, res, res.certified)
         for res, rec in zip(results, payload["recommendations"])
     ]
 
 
 def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
     sr = payload["semiring"]
+    require_argreduce(sr)
     mats = [sr.asarray(a) for a in payload["mats"]]
     # As ``_normalize_string``: the last operand is the sink column.
     results = pipelined_kernel(sr, mats[:-1], mats[-1][..., 0])
-    reports = []
-    for res, rec in zip(results, payload["recommendations"]):
-        optimum = float(sr.add_reduce(np.asarray(res.value), axis=None))
-        reports.append(
-            SolveReport(
-                dp_class=rec.dp_class,
-                method="fig3-pipelined-array",
-                optimum=optimum,
-                reference=optimum,
-                validated=True,
-                solution=res.value,
-                detail=res,
-                recommendation=rec,
-            )
+    return [
+        _certified(
+            rec,
+            "fig3-pipelined-array",
+            float(sr.add_reduce(np.asarray(res.value), axis=None)),
+            res.value,
+            res,
+            res.certified,
         )
-    return reports
+        for res, rec in zip(results, payload["recommendations"])
+    ]

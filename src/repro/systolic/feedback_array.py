@@ -39,8 +39,10 @@ run traces the registers back into a full :class:`~repro.graphs.StagePath`
 The fast backend materializes each layer's cost matrix and performs the
 stage recurrence ``h_k = h_{k-1} ⊗ C_{k-1}`` as one whole-array semiring
 reduction per stage (with ``add_argreduce`` standing in for the path
-registers), then reports the schedule's closed-form counters: the same
-``(N+1)·m`` iterations, ``(N−1)·m² + m`` serial ops, and bus traffic.
+registers), certifies the stacked stage tables in one pass
+(:func:`~repro.dp.certificate.certify_forward`), then reports the
+schedule's closed-form counters: the same ``(N+1)·m`` iterations,
+``(N−1)·m² + m`` serial ops, and bus traffic.
 The same kernel runs a stack of same-shape instances for the batch
 engine (:mod:`repro.exec.vectorized`).
 """
@@ -53,6 +55,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .._readonly import read_only
+from ..dp.certificate import certify_forward
 from ..graphs import NodeValueProblem, StagePath
 from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
@@ -96,6 +99,10 @@ class FeedbackArrayResult:
     #: stage ``k``; stage 1 must be all 1̄), captured when ``observe`` was
     #: requested — the ABFT detector inputs.  Empty otherwise.
     stage_values: tuple[np.ndarray, ...] = ()
+    #: The fast kernel's certificate verdict
+    #: (:func:`~repro.dp.certificate.certify_forward`); ``None`` when the
+    #: rtl machine ran.
+    certified: bool | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         read_only((self.final_stage_values, self.stage_values))
@@ -134,42 +141,62 @@ def _fast_report(n_stages: int, m: int) -> RunReport:
     )
 
 
+def _forward_sweep(
+    sr: Semiring, layers: Sequence[np.ndarray] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stage recurrence ``h_1 = 1̄``; ``h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j]``.
+
+    Returns the ``(N, …, m)`` stack of every stage's ``h`` and the
+    ``(N − 1, …, m)`` path registers.  The argreduce along the
+    predecessor axis is exactly the path register: the first PE index
+    achieving the folded optimum, the same tie-break as the moving
+    pair's strict-improvement update.
+    """
+    lead, m = layers[0].shape[:-2], layers[0].shape[-1]
+    hs = np.empty((len(layers) + 1,) + lead + (m,), dtype=float)
+    hs[0] = sr.one
+    registers = np.empty((len(layers),) + lead + (m,), dtype=np.intp)
+    mul = sr.raw_mul
+    for k, layer in enumerate(layers):
+        cand = mul(hs[k][..., :, None], layer)
+        registers[k] = sr.add_argreduce(cand, axis=-2)
+        hs[k + 1] = sr.add_reduce(cand, axis=-2)
+    return hs, registers
+
+
 def _fast_kernel(
-    sr: Semiring, layers: Sequence[np.ndarray]
+    sr: Semiring, layers: Sequence[np.ndarray] | np.ndarray
 ) -> list[FeedbackArrayResult]:
     """The fast backend on one instance or on a stack of them.
 
     ``layers`` are the ``N − 1`` cost matrices, each ``(..., m, m)``:
-    2-D for one instance, ``(B, m, m)`` for a stack of ``B``, all
-    checked by :func:`~repro.graphs.check_cost_layers`, so ⊗ is the
-    semiring's raw form.  Stage recurrence: ``h_1 = 1̄``;
-    ``h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j]``.  The
-    argreduce along the predecessor axis is exactly the path register:
-    the first PE index achieving the folded optimum, the same tie-break
-    as the moving pair's strict-improvement update.  Each instance of a
-    stack goes through the same operations as it would alone, so its
-    result is bit-identical.  Returns one result per instance, in
+    2-D for one instance, ``(B, m, m)`` for a stack of ``B`` (or one
+    ``(N − 1, B, m, m)`` array), all checked by
+    :func:`~repro.graphs.check_cost_layers`, so ⊗ is the semiring's raw
+    form.  :func:`_forward_sweep` runs the recurrence and
+    :func:`~repro.dp.certificate.certify_forward` certifies its tables;
+    each result keeps only the verdict, in ``certified``.  Each instance
+    of a stack goes through the same operations as it would alone, so
+    its result is bit-identical.  Returns one result per instance, in
     row-major order of the leading axes.
     """
-    n_layers = len(layers)
-    lead, m = layers[0].shape[:-2], layers[0].shape[-1]
-    h = np.full(lead + (m,), sr.one, dtype=float)
-    registers = np.empty((n_layers,) + lead + (m,), dtype=np.intp)
-    mul = sr.raw_mul
-    for k, layer in enumerate(layers):
-        cand = mul(h[..., :, None], layer)
-        registers[k] = sr.add_argreduce(cand, axis=-2)
-        h = sr.add_reduce(cand, axis=-2)
-    rows = h.reshape(-1, m)
-    optima = sr.add_reduce(rows, axis=-1).tolist()
-    winners = sr.add_argreduce(rows, axis=-1).tolist()
+    hs, registers = _forward_sweep(sr, layers)
+    n_layers, lead, m = len(registers), hs.shape[1:-1], hs.shape[-1]
+    rows = hs[-1].reshape(-1, m)
+    optima = sr.add_reduce(rows, axis=-1)
+    winners = sr.add_argreduce(rows, axis=-1)
+    verdicts = certify_forward(
+        sr, layers, hs, registers, optima.reshape(lead), winners.reshape(lead)
+    )
     # One flat list, not one list per register: fewer objects for the
     # garbage collector to track on large stacks.
     flat = registers.ravel().tolist()
-    count = len(optima)
+    count = len(rows)
     report = _fast_report(n_layers + 1, m)
     results: list[FeedbackArrayResult] = []
-    for i, (final_h, optimum, winner) in enumerate(zip(rows, optima, winners)):
+    for i, (final_h, optimum, winner, ok) in enumerate(
+        zip(rows, optima.tolist(), winners.tolist(), verdicts.ravel().tolist())
+    ):
         # Trace the path registers back from the final stage's winner.
         nodes = [winner]
         for k in range(n_layers - 1, -1, -1):
@@ -181,6 +208,7 @@ def _fast_kernel(
                 path=StagePath(nodes=tuple(reversed(nodes)), cost=optimum),
                 final_stage_values=final_h.copy(),
                 report=report,
+                certified=ok,
             )
         )
     return results

@@ -28,7 +28,8 @@ restated.
 The RTL backend drives the sweep on a
 :class:`~repro.systolic.fabric.SystolicMachine` (one PE per OR-node);
 the fast backend runs a vectorized per-diagonal DP — one NumPy reduction
-across all same-span subproblems per split offset — plus a per-span
+across all same-span subproblems per split offset — certifies its table
+in one pass (:func:`~repro.dp.certificate.certify_interval`), plus a per-span
 greedy schedule (:func:`repro.systolic.triangular.greedy_completion`):
 all same-span subproblems share one alternative-availability multiset,
 so their completion steps coincide, and the closed-form counters match
@@ -43,6 +44,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .._readonly import read_only
+from ..dp.certificate import certify_interval
 from ..dp.matrix_chain import ChainOrder, _check_dims
 from .fabric import (
     BackendMismatch,
@@ -83,6 +85,10 @@ class ParenthesizationRun:
     #: the ``M`` registers, for cell-level cross-checks against the
     #: sequential DP table.  ``None`` otherwise.
     cost_table: Mapping[tuple[int, int], float] | None = None
+    #: The fast backend's certificate verdict
+    #: (:func:`~repro.dp.certificate.certify_interval`); ``None`` when the
+    #: rtl machine ran.
+    certified: bool | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("subproblem_completion", "cost_table"):
@@ -139,6 +145,30 @@ def t_p_recurrence(n: int) -> int:
     for k in reversed(sizes):
         t += 2 * (k // 2)
     return t
+
+
+def _interval_tables(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. (6)'s cost and split tables ``M``, ``S`` over 1-based ``(i, j)``.
+
+    Vectorized diagonal DP: for each span, all split offsets reduce
+    across the whole diagonal at once (O(n) NumPy ops per span instead
+    of O(n²) Python folds); ties keep the lowest split.
+    """
+    r = np.asarray(dims, dtype=np.int64)
+    n = r.size - 1
+    M = np.zeros((n + 2, n + 2), dtype=np.int64)
+    S = np.zeros((n + 2, n + 2), dtype=np.int64)
+    for span in range(2, n + 1):
+        i_idx = np.arange(1, n - span + 2)
+        j_idx = i_idx + span - 1
+        costs = np.empty((span - 1, i_idx.size), dtype=np.int64)
+        for off in range(span - 1):
+            k = i_idx + off
+            costs[off] = M[i_idx, k] + M[k + 1, j_idx] + r[i_idx - 1] * r[k] * r[j_idx]
+        arg = np.argmin(costs, axis=0)
+        M[i_idx, j_idx] = costs[arg, np.arange(i_idx.size)]
+        S[i_idx, j_idx] = i_idx + arg
+    return M, S
 
 
 class _ParenthesizerBase:
@@ -358,25 +388,12 @@ class _ParenthesizerBase:
     # Fast backend
     # ------------------------------------------------------------------
     def _run_fast(self, dims: tuple[int, ...], n: int) -> ParenthesizationRun:
-        r = np.asarray(dims, dtype=np.int64)
-        # Vectorized diagonal DP: M[i, j] over 1-based (i, j); for each
-        # span, all split offsets reduce across the whole diagonal at
-        # once (O(n) NumPy ops per span instead of O(n²) Python folds).
-        M = np.zeros((n + 2, n + 2), dtype=np.int64)
-        S = np.zeros((n + 2, n + 2), dtype=np.int64)
+        M, S = _interval_tables(dims)
         done_span = {1: self.base_time}
         busy_span: dict[int, int] = {}
         alternatives = 0
         for span in range(2, n + 1):
-            i_idx = np.arange(1, n - span + 2)
-            j_idx = i_idx + span - 1
-            costs = np.empty((span - 1, i_idx.size), dtype=np.int64)
-            for off in range(span - 1):
-                k = i_idx + off
-                costs[off] = M[i_idx, k] + M[k + 1, j_idx] + r[i_idx - 1] * r[k] * r[j_idx]
-            arg = np.argmin(costs, axis=0)
-            M[i_idx, j_idx] = costs[arg, np.arange(i_idx.size)]
-            S[i_idx, j_idx] = i_idx + arg
+            cells = n - span + 1
             # Schedule: every span-s cell shares one availability multiset
             # (child spans off+1 and span-off-1), so one greedy run covers
             # the whole diagonal.
@@ -390,7 +407,7 @@ class _ParenthesizerBase:
             done_span[span], busy_span[span] = greedy_completion(
                 avail, self.alternatives_per_step
             )
-            alternatives += (span - 1) * i_idx.size
+            alternatives += (span - 1) * cells
 
         def build(i: int, j: int) -> int | tuple:
             if i == j:
@@ -431,6 +448,7 @@ class _ParenthesizerBase:
             subproblem_completion=completion,
             alternatives_evaluated=alternatives,
             report=report,
+            certified=certify_interval(dims, M, S, order),
         )
 
 

@@ -29,8 +29,8 @@ for A→B, the P_m→P_1 feedback stream for B→A), so computed values and
 per-PE iteration counts match the hardware exactly.  The fast backend
 evaluates the same string with whole-array semiring reductions (the
 broadcast-then-reduce of :func:`~repro.semiring.matvec`, with the raw ⊗
-of operands checked at entry) and reports the schedule's closed-form
-counters; the batch engine (:mod:`repro.exec.vectorized`) runs the same
+of operands checked at entry), certifies the chain's stage vectors in one
+pass, and reports the schedule's closed-form counters; the batch engine (:mod:`repro.exec.vectorized`) runs the same
 kernel on a stack of same-shape strings.  ``backend="auto"`` cross-validates fast against
 RTL on small instances.
 """
@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .._readonly import read_only
+from ..dp.certificate import certify_backward
 from ..graphs import MultistageGraph, check_cost_layers
 from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
@@ -75,6 +76,10 @@ class PipelinedArrayResult:
     #: it, phase output as latched), captured when ``observe`` was
     #: requested — the data the ABFT detectors check.  Empty otherwise.
     phase_values: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    #: The fast kernel's certificate verdict
+    #: (:func:`~repro.dp.certificate.certify_backward`); ``None`` when the
+    #: rtl machine ran, or the semiring has no arg-reduction.
+    certified: bool | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         read_only((self.value, self.phase_values))
@@ -118,20 +123,24 @@ def _normalize_string(
 
 def _matvec_chain(
     sr: Semiring, mats: Sequence[np.ndarray], vec: np.ndarray
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """``mats[0] ⊗ (mats[1] ⊗ (… ⊗ vec))``, right to left, over any leading
     axes: the Fig. 3 value, and the divide-and-conquer route's value in
     :func:`repro.core.solver.solve`.
 
-    Each step is :func:`~repro.semiring.batched_matvec`'s broadcast and
-    reduction with the raw ⊗, so the operands must have passed
+    Returns every stage vector ``[v_0, …, v_L]`` with ``v_L = vec`` and
+    ``v_0`` the value, the tables
+    :func:`~repro.dp.certificate.certify_backward` checks.  Each step is
+    :func:`~repro.semiring.batched_matvec`'s broadcast and reduction
+    with the raw ⊗, so the operands must have passed
     :func:`~repro.graphs.check_cost_layers` and have matching shapes.
     """
     mul, reduce = sr.raw_mul, sr.add_reduce
-    value = vec
+    values = [vec]
     for mat in reversed(mats):
-        value = reduce(mul(mat, value[..., None, :]), axis=-1)
-    return value
+        values.append(reduce(mul(mat, values[-1][..., None, :]), axis=-1))
+    values.reverse()
+    return values
 
 
 def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
@@ -175,22 +184,37 @@ def _fast_kernel(
     with a leading ``B`` axis for a stack, all checked at entry.  The
     right-to-left semiring mat-vec chain (:func:`_matvec_chain`) does
     the same operations on each string of a stack as on that string
-    alone, so every result is bit-identical to running it alone.  A
+    alone, so every result is bit-identical to running it alone, and
+    :func:`~repro.dp.certificate.certify_backward` certifies its stage
+    vectors when the semiring has an arg-reduction; each result keeps
+    only the verdict, in ``certified``.  A
     leftmost ``1 × m`` row vector yields a scalar per string.  Returns
     one result per string, in row-major order of the leading axes.
     """
     m = vec.shape[-1]
-    value = _matvec_chain(sr, mats, vec)
+    chain = _matvec_chain(sr, mats, vec)
+    lead = vec.shape[:-1]
+    # A non-selective ⊕ (plus-times) has no certificate: ``certified`` stays None.
+    verdicts = (
+        certify_backward(sr, mats, vec, chain)
+        if sr.add_argreduce is not None
+        else np.full(lead, None)
+    ).ravel().tolist()
     rows = mats[0].shape[-2]
     report = _fast_report(len(mats), rows, m)
-    values = value.reshape(-1, rows)
+    values = chain[0].reshape(-1, rows)
     if rows == 1 and m > 1:
         return [
-            PipelinedArrayResult(value=sr.asarray(float(v[0])), report=report)
-            for v in values
+            PipelinedArrayResult(
+                value=sr.asarray(float(v[0])), report=report, certified=ok
+            )
+            for v, ok in zip(values, verdicts)
         ]
     # Rows are copied out, so a cached result does not keep the stack alive.
-    return [PipelinedArrayResult(value=v.copy(), report=report) for v in values]
+    return [
+        PipelinedArrayResult(value=v.copy(), report=report, certified=ok)
+        for v, ok in zip(values, verdicts)
+    ]
 
 
 class PipelinedMatrixStringArray:

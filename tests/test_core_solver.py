@@ -194,7 +194,8 @@ class TestDivideAndConquerRoute:
             rep = solve(problem, backend=backend)
             assert rep.method.startswith("divide-and-conquer")
             assert dnc_calls["matmul"] == 0
-            assert dnc_calls["oracle"] == 1
+            assert dnc_calls["oracle"] == 0  # certified, not re-solved
+            assert rep.validation == "certificate"
             assert rep.detail.product is None
             assert rep.solution.shape == (problem.stage_sizes[0],)
 
