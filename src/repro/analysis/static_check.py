@@ -23,8 +23,8 @@ design:
 **Idiom rules** — active everywhere (repo-wide fabric discipline):
 
 * ``register-internals`` — touching ``Register`` internals
-  (``._current`` / ``._next`` / ``._dirty`` / ``._staged_scope``)
-  outside the fabric itself.
+  (``._current`` / ``._next`` / ``._dirty`` / ``._staged_scope`` /
+  ``._staged``) outside the fabric itself.
 * ``latch-bypass`` — calling ``.end_tick()`` / ``.latch()`` on anything
   but the machine (per-PE latching desynchronizes the array clock).
 * ``silent-op`` — a function that calls ``.count_op(`` but never
@@ -79,7 +79,7 @@ STATIC_RULES = (
 
 #: ``Register`` attributes nothing outside the fabric may touch.
 _REGISTER_INTERNALS = frozenset(
-    {"_current", "_next", "_dirty", "_staged_scope"}
+    {"_current", "_next", "_dirty", "_staged_scope", "_staged"}
 )
 
 _ALLOW_RE = re.compile(

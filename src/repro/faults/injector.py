@@ -45,8 +45,9 @@ def _perturb(value: Any, delta: float) -> Any:
     Finite numbers shift by ``delta``; an infinite cost (the semiring
     zero of min-plus/max-plus) is corrupted *to* ``delta`` — a phantom
     finite entry, the nastier upset because it fabricates a path that
-    does not exist.  The Fig. 5 moving pair is corrupted in its partial
-    cost ``h``.  Values with no numeric payload return :data:`_SKIP`.
+    does not exist.  The Fig. 5 moving pair (a named tuple) is corrupted
+    in its partial cost ``h``.  Values with no numeric payload return
+    :data:`_SKIP`.
     """
     if value is None or isinstance(value, bool):
         return _SKIP
@@ -55,11 +56,11 @@ def _perturb(value: Any, delta: float) -> Any:
         if math.isinf(v):
             return delta
         return type(value)(value + delta) if isinstance(value, (int, np.integer)) else v + delta
-    if dataclasses.is_dataclass(value) and hasattr(value, "h"):
+    if isinstance(value, tuple) and hasattr(value, "_replace") and hasattr(value, "h"):
         flipped = _perturb(value.h, delta)
         if flipped is _SKIP:
             return _SKIP
-        return dataclasses.replace(value, h=flipped)
+        return value._replace(h=flipped)
     if isinstance(value, np.ndarray) and value.size and np.issubdtype(value.dtype, np.number):
         out = value.copy()
         flat = out.reshape(-1)

@@ -115,6 +115,18 @@ class Semiring:
         return float(self.mul(np.asarray(a, dtype=self.dtype), np.asarray(b, dtype=self.dtype)))
 
     @property
+    def scalar_ops(
+        self,
+    ) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
+        """``(⊕, ⊗)`` on two scalars, for binding to locals in PE loops:
+        the pure-Python ops when the semiring has them, else
+        :meth:`scalar_add` / :meth:`scalar_mul`."""
+        return (
+            self.scalar_add_op or self.scalar_add,
+            self.scalar_mul_op or self.scalar_mul,
+        )
+
+    @property
     def raw_mul(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Array ⊗ for checked operands: ``raw_mul_op``, else ``mul``."""
         return self.mul if self.raw_mul_op is None else self.raw_mul_op

@@ -14,12 +14,12 @@ designs are built on:
 * :class:`ProcessingElement` — a register container with per-PE activity
   accounting (busy ticks, operation counts).
 * :class:`SystolicMachine` — the shared simulation machine every array
-  design runs on: it owns the clock (tick counter + latch-all), phase
-  accounting with per-hop control-signal delay (the ODD/MOVE signals of
-  Fig. 3 propagate one PE per tick, which is what skews the overlapped
-  schedule), a deferred-delivery queue for feedback/control buses, the
-  I/O-port counters, and the structured :class:`EventBus` that trace
-  sinks subscribe to.
+  design runs on: it owns the clock (tick counter + the latch of staged
+  registers), phase accounting with per-hop control-signal delay (the
+  ODD/MOVE signals of Fig. 3 propagate one PE per tick, which is what
+  skews the overlapped schedule), a deferred-delivery queue for
+  feedback/control buses, the I/O-port counters, and the structured
+  :class:`EventBus` that trace sinks subscribe to.
 * :class:`TraceEvent` / :class:`EventBus` / :class:`TraceSink` — the
   typed trace bus.  Simulators emit ``op`` / ``shift`` / ``broadcast`` /
   ``io`` / ``phase`` events; pluggable sinks consume them (the built-in
@@ -91,19 +91,24 @@ class Register:
     """A clocked register with compute/latch two-phase semantics.
 
     During a tick, PEs read ``value`` (the state latched at the previous
-    clock edge) and stage updates with :meth:`set`.  The array calls
-    :meth:`latch` on every register at the tick boundary.  Reading always
-    returns pre-tick state; staged writes are invisible until latched.
+    clock edge) and stage updates with :meth:`set`.  At the tick boundary
+    the clock calls :meth:`latch` on every register that was staged since
+    the last edge; a register nobody wrote keeps its state without being
+    visited.  Reading always returns pre-tick state; staged writes are
+    invisible until latched.
 
     ``owner`` is the index of the PE the register belongs to (``None``
     for free-standing registers); ``monitor`` is an optional hazard
     monitor (:class:`repro.analysis.hazards.HazardSanitizer`) notified
     on every read/stage/force.  Both are wired by the machine when
     strict mode is on and cost a single ``is not None`` test otherwise.
+    ``staged`` is the clock's staged list: the first :meth:`set` of a
+    tick appends the register to it.  A free-standing register has none
+    and is latched by hand.
     """
 
     __slots__ = ("name", "owner", "_current", "_next", "_dirty", "_monitor",
-                 "_staged_scope")
+                 "_staged_scope", "_staged")
 
     def __init__(
         self,
@@ -111,6 +116,7 @@ class Register:
         initial: Any = None,
         owner: int | None = None,
         monitor: Any = None,
+        staged: list[Register] | None = None,
     ) -> None:
         self.name = name
         self.owner = owner
@@ -119,6 +125,7 @@ class Register:
         self._dirty = False
         self._monitor = monitor
         self._staged_scope: Any = None
+        self._staged = staged
 
     @property
     def value(self) -> Any:
@@ -137,7 +144,8 @@ class Register:
 
         Exists for the fault layer (:mod:`repro.faults`): a dropped shift
         delivery or a dead link is exactly "the staged write never
-        arrives".  Normal array code never cancels.
+        arrives".  Normal array code never cancels.  The register stays
+        on the clock's staged list; its :meth:`latch` is then a no-op.
         """
         if self._monitor is not None:
             self._monitor.on_cancel(self)
@@ -170,12 +178,17 @@ class Register:
         last write, so one run surfaces every hazard at once.
         """
         mon = self._monitor
-        if mon is not None:
-            mon.on_set(self, double=self._dirty)
-        elif self._dirty:
-            raise SystolicError(f"register {self.name!r} driven twice in one tick")
+        if self._dirty:
+            if mon is None:
+                raise SystolicError(f"register {self.name!r} driven twice in one tick")
+            mon.on_set(self, double=True)
+        else:
+            if mon is not None:
+                mon.on_set(self, double=False)
+            self._dirty = True
+            if self._staged is not None:
+                self._staged.append(self)  # first write this tick: the clock latches it
         self._next = value
-        self._dirty = True
 
     def latch(self) -> None:
         """Clock edge: staged value (if any) becomes visible."""
@@ -197,22 +210,35 @@ class ProcessingElement:
     once per tick regardless of how many elementary operations the PE
     performed in it, matching the paper's definition of an *iteration* as
     one shift-multiply-accumulate slot.
+
+    A PE built by :meth:`SystolicMachine.add_pes` shares the machine's
+    clock: its registers join the machine's staged list and its first op
+    of a tick joins the machine's busy list, and only the machine's
+    :meth:`~SystolicMachine.end_tick` clocks it.  A free-standing PE is
+    its own clock domain, edged by :meth:`end_tick`.
     """
 
-    def __init__(self, index: int, monitor: Any = None) -> None:
+    def __init__(
+        self, index: int, monitor: Any = None, *, machine: SystolicMachine | None = None
+    ) -> None:
         self.index = index
         self.registers: dict[str, Register] = {}
         self.busy_ticks = 0
         self.op_count = 0
         self._busy_this_tick = False
         self._monitor = monitor
+        # The machine's lists, not the machine: a back-reference would
+        # make every machine a reference cycle, freed only by the GC.
+        self._clocked_by = None if machine is None else machine.design
+        self._staged: list[Register] = [] if machine is None else machine._staged
+        self._busy: list[ProcessingElement] = [] if machine is None else machine._busy
 
     def reg(self, name: str, initial: Any = None) -> Register:
         """Create (or return) the named register."""
         if name not in self.registers:
             self.registers[name] = Register(
                 f"P{self.index}.{name}", initial, owner=self.index,
-                monitor=self._monitor,
+                monitor=self._monitor, staged=self._staged,
             )
         return self.registers[name]
 
@@ -222,15 +248,38 @@ class ProcessingElement:
     def count_op(self, n: int = 1) -> None:
         """Record ``n`` elementary operations in the current tick."""
         self.op_count += n
-        self._busy_this_tick = True
+        if not self._busy_this_tick:
+            self._busy_this_tick = True
+            self._busy.append(self)
 
     def end_tick(self) -> None:
-        """Latch all registers and fold busy flag into the tick count."""
-        if self._busy_this_tick:
-            self.busy_ticks += 1
-            self._busy_this_tick = False
-        for r in self.registers.values():
-            r.latch()
+        """Clock edge of a free-standing PE: latch what was staged, fold
+        the busy flag into the tick count.
+
+        A machine-owned PE raises :class:`SystolicError`: latching one PE
+        alone would desynchronize the array clock.
+        """
+        if self._clocked_by is not None:
+            raise SystolicError(
+                f"PE {self.index} is clocked by machine {self._clocked_by!r}; "
+                "call machine.end_tick()"
+            )
+        _clock_edge(self._staged, self._busy)
+
+
+def _clock_edge(staged: list[Register], busy: list[ProcessingElement]) -> None:
+    """Latch every staged register and charge every busy PE one tick.
+
+    Cancelled registers stay listed and latch as no-ops.  Both lists are
+    emptied, so a write staged after the edge lands on the next one.
+    """
+    for r in staged:
+        r.latch()
+    staged.clear()
+    for pe in busy:
+        pe.busy_ticks += 1
+        pe._busy_this_tick = False
+    busy.clear()
 
 
 # ----------------------------------------------------------------------
@@ -511,10 +560,10 @@ class SystolicMachine:
 
     The machine owns what used to be duplicated per design:
 
-    * the **clock** — a 1-based tick counter, the latch-all at every
-      edge (:meth:`end_tick`), and the distinction between a *counted*
-      tick and a latch-only control action such as Fig. 3's MOVE
-      (``end_tick(advance=False)``);
+    * the **clock** — a 1-based tick counter, the edge that latches the
+      registers staged since the last one (:meth:`end_tick`), and the
+      distinction between a *counted* tick and a latch-only control
+      action such as Fig. 3's MOVE (``end_tick(advance=False)``);
     * **phase accounting with per-hop control delay** — control signals
       (ODD, MOVE, FIRST) enter at P₁ and propagate ``hop_delay`` ticks
       per PE, so phase ``p`` reaches PE ``i`` at
@@ -574,6 +623,10 @@ class SystolicMachine:
         #: keeps the tick loop byte-for-byte on the healthy path.
         self.injector = injector
         self.pes: list[ProcessingElement] = []
+        # The clock's work lists: registers staged since the last edge
+        # and PEs that counted an op this tick (see _clock_edge).
+        self._staged: list[Register] = []
+        self._busy: list[ProcessingElement] = []
         self.stats = ArrayStats()
         self.bus = EventBus()
         self.trace: TraceSink | None = None
@@ -593,7 +646,8 @@ class SystolicMachine:
         """Append ``n`` fresh PEs; returns the full PE list."""
         base = len(self.pes)
         self.pes.extend(
-            ProcessingElement(base + i, monitor=self.sanitizer) for i in range(n)
+            ProcessingElement(base + i, monitor=self.sanitizer, machine=self)
+            for i in range(n)
         )
         return self.pes
 
@@ -644,15 +698,28 @@ class SystolicMachine:
         """True when at least one sink listens (guard for hot paths)."""
         return self.bus.active
 
+    @property
+    def observed(self) -> bool:
+        """True when a sink or the strict-mode sanitizer consumes events.
+
+        Tick loops check it once per tick: when it is false, :meth:`emit`
+        has no effect, so they skip building labels and ticks entirely.
+        """
+        return self.sanitizer is not None or self.bus.active
+
     def emit(
         self, kind: str, pe: int, label: str, *, tick: int | None = None
     ) -> None:
-        """Publish one typed event (no-op without subscribed sinks)."""
+        """Publish one typed event (no-op without subscribed sinks).
+
+        An unknown ``kind`` raises :class:`SystolicError` whether or not
+        anyone listens.
+        """
+        if kind not in TRACE_KINDS:
+            raise SystolicError(f"unknown trace-event kind {kind!r}")
         if self.sanitizer is not None and kind in CELL_KINDS and pe >= 0:
             self.sanitizer.on_emit(pe)
         if self.bus.active:
-            if kind not in TRACE_KINDS:
-                raise SystolicError(f"unknown trace-event kind {kind!r}")
             self.bus.emit(
                 TraceEvent(
                     tick=self.tick if tick is None else tick,
@@ -711,8 +778,12 @@ class SystolicMachine:
 
     # -- the clock -------------------------------------------------------
     def end_tick(self, *, advance: bool = True) -> None:
-        """Clock edge: latch every PE; count the tick unless ``advance=False``.
+        """Clock edge: latch what was staged; count the tick unless
+        ``advance=False``.
 
+        Only the registers written since the last edge are latched and
+        only the PEs that counted an op this tick are charged a busy
+        tick; every other register already holds its next state.
         ``advance=False`` models control actions that latch registers
         without consuming an iteration slot (Fig. 3's MOVE).
 
@@ -731,8 +802,7 @@ class SystolicMachine:
             injector.before_latch(self)
             if san is not None:
                 san.exit_injector()
-        for pe in self.pes:
-            pe.end_tick()
+        _clock_edge(self._staged, self._busy)
         if injector is not None:
             if san is not None:
                 san.enter_injector()

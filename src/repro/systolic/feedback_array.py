@@ -50,7 +50,7 @@ engine (:mod:`repro.exec.vectorized`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,9 +71,12 @@ from .fabric import (
 __all__ = ["FeedbackArrayResult", "FeedbackSystolicArray", "feedback_pu"]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Pair:
-    """A moving token: (node value, partial h, winning predecessor, kind)."""
+class _Pair(NamedTuple):
+    """A moving token: (node value, partial h, winning predecessor, kind).
+
+    Immutable, and built once per PE step: a named tuple costs one
+    allocation where a frozen dataclass pays a ``__setattr__`` per field.
+    """
 
     x: float
     h: float
@@ -315,9 +318,9 @@ class FeedbackSystolicArray:
         strict: bool = False,
     ) -> FeedbackArrayResult:
         sr = self.sr
-        f: Callable[[float, float], float] = lambda a, b: float(
-            problem.edge_cost(np.asarray(a), np.asarray(b))
-        )
+        edge_cost, asarray = problem.edge_cost, np.asarray
+        add, mul = sr.scalar_ops
+        zero, one = sr.zero, sr.one
 
         # The feedback bus is driven by the array-level controller (the
         # deliver() actions run in start_tick at array scope), so the PE
@@ -379,9 +382,12 @@ class FeedbackSystolicArray:
             # Deliver feedback scheduled to arrive this iteration; it is
             # latched at the tick edge but visible combinationally now.
             machine.start_tick()
+            observed = machine.observed
 
             # Moving pairs advance one PE per iteration; PE i processes
-            # the pair arriving from PE i-1 (or the input stream).
+            # the pair arriving from PE i-1 (or the input stream).  Every
+            # PE runs every iteration: one not yet reached still stages
+            # its empty PAIR, a write the fault layer can drop.
             for i in range(m - 1, -1, -1):
                 pe = pes[i]
                 machine.enter_pe(i)
@@ -399,36 +405,38 @@ class FeedbackSystolicArray:
                     k_val, h_val = bypass[i]
                 else:
                     k_val, h_val = pe["K"].value, pe["H"].value
-                if pair.stage == 1 or k_val is None:
+                stage = pair.stage
+                if stage == 1 or k_val is None:
                     # Stage-1 transit (or PE not yet armed): pure shift.
-                    if machine.tracing:
-                        label = "F0" if pair.stage > n_stages else (
-                            "-" if pair.stage == 1 else f"x{pair.stage},{pair.index}"
+                    if observed:
+                        label = "F0" if stage > n_stages else (
+                            "-" if stage == 1 else f"x{stage},{pair.index}"
                         )
                         machine.emit("shift", i, label)
                     pe["PAIR"].set(pair)
                     machine.exit_pe()
                     continue
-                if machine.tracing:
-                    label = "F0" if pair.stage > n_stages else f"x{pair.stage},{pair.index}"
+                if observed:
+                    label = "F0" if stage > n_stages else f"x{stage},{pair.index}"
                     machine.emit("op", i, label)
                 if h_val is None:
                     # A dead link into H armed K without its prefix cost:
                     # a missing prefix is the semiring zero.
-                    h_val = sr.zero
-                if pair.stage <= n_stages:
-                    cand = sr.scalar_mul(h_val, f(k_val, pair.x))
+                    h_val = zero
+                if stage <= n_stages:
+                    cand = mul(h_val, float(edge_cost(asarray(k_val), asarray(pair.x))))
                 else:
-                    cand = sr.scalar_mul(h_val, sr.one)  # F = 0 sweep
-                merged = sr.scalar_add(pair.h, cand)
-                improved = merged != pair.h or pair.arg < 0
+                    cand = mul(h_val, one)  # F = 0 sweep
+                h = pair.h
+                merged = add(h, cand)
+                improved = merged != h or pair.arg < 0
                 pe.count_op()
                 pe["PAIR"].set(
                     _Pair(
                         pair.x,
                         merged,
                         i if improved and merged == cand else pair.arg,
-                        pair.stage,
+                        stage,
                         pair.index,
                     )
                 )

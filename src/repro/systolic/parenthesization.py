@@ -277,20 +277,21 @@ class _ParenthesizerBase:
             machine.end_tick()
         machine.read_input(len(dims), label="in:dims")
 
-        # Per-subproblem pending alternatives with availability times.
-        pending: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # Per-subproblem alternatives not yet folded, ascending split k.
+        pending: dict[tuple[int, int], list[int]] = {}
         for span in range(2, n + 1):
             for i in range(1, n - span + 2):
-                pending[(i, i + span - 1)] = [(0, k) for k in range(i, i + span - 1)]
+                pending[(i, i + span - 1)] = list(range(i, i + span - 1))
         machine.add_pes(len(pending))
         pe_index = {key: idx for idx, key in enumerate(sorted(pending))}
         # The OR-node's running minimum lives in a clocked register, so
         # the data plane (costs) is faultable state; the scheduling
-        # scoreboard (`done`/`pending`) is the control plane and is
+        # scoreboard (`done`/`avail`/`wake`) is the control plane and is
         # assumed fault-free.
         for pe in machine.pes:
             pe.reg("M", None)
         serial_ops = sum(len(alts) for alts in pending.values())
+        bus = self._transfer_delay(2, 1) == 0  # broadcast mapping
 
         def cell_value(key: tuple[int, int]) -> float:
             """Latched cost of a subproblem; a never-written M reads ∞."""
@@ -300,35 +301,61 @@ class _ParenthesizerBase:
             v = machine.pes[pe_index[key]]["M"].value
             return float("inf") if v is None else float(v)
 
-        unresolved = set(pending)
+        # The scoreboard is event-driven: alternative k of (i, j) gets its
+        # availability step once both children are done, and the cell is
+        # scanned at the steps where some alternative may fold.  A scan
+        # that folds nothing has no visible effect, so skipping it keeps
+        # every fold, event and completion step of a full sweep.
+        avail: dict[tuple[int, int], dict[int, int]] = {key: {} for key in pending}
+        wake: dict[int, set[tuple[int, int]]] = {}
+        delay = self._transfer_delay
+
+        def arm(key: tuple[int, int], k: int) -> None:
+            """Alternative ``k`` of ``key`` has both children: time it."""
+            i, j = key
+            size = j - i + 1
+            at = max(
+                done[(i, k)] + delay(size, k - i + 1),
+                done[(k + 1, j)] + delay(size, j - k),
+            )
+            avail[key][k] = at
+            wake.setdefault(at + 1, set()).add(key)  # foldable once at <= step - 1
+
+        def completed(a: int, b: int) -> None:
+            """Cell (a, b) is done: arm every parent alternative it unblocks."""
+            for j in range(b + 1, n + 1):  # (a, b) as the left child, k = b
+                if (b + 1, j) in done:
+                    arm((a, j), b)
+            for i in range(1, a):  # (a, b) as the right child, k = a - 1
+                if (i, a - 1) in done:
+                    arm((i, b), a - 1)
+
+        for i in range(1, n + 1):
+            completed(i, i)
+
+        unresolved = len(pending)
         step = self.base_time
         # Availability is monotone, so sweeping steps forward and folding
         # whatever became available is an exact event-driven simulation.
         while unresolved:
             step += 1
-            newly_done = []
-            for key in sorted(unresolved):
+            observed = machine.observed
+            for key in sorted(wake.pop(step, ())):
                 i, j = key
-                size = j - i + 1
                 capacity = self.alternatives_per_step
-                remaining: list[tuple[int, int]] = []
+                known = avail[key]
+                remaining: list[int] = []
                 folded = 0
-                pe = machine.pes[pe_index[key]]
-                machine.enter_pe(pe_index[key])
+                idx = pe_index[key]
+                pe = machine.pes[idx]
+                machine.enter_pe(idx)
                 staged = pe["M"].value  # running minimum latched so far
-                for _prio, k in pending[key]:
-                    left, right = (i, k), (k + 1, j)
-                    if left not in done or right not in done:
-                        remaining.append((_prio, k))
-                        continue
-                    avail = max(
-                        done[left] + self._transfer_delay(size, k - i + 1),
-                        done[right] + self._transfer_delay(size, j - k),
-                    )
-                    if avail <= step - 1 and folded < capacity:
+                for k in pending[key]:
+                    at = known.get(k)
+                    if at is not None and at <= step - 1 and folded < capacity:
                         cost = (
-                            cell_value(left)
-                            + cell_value(right)
+                            cell_value((i, k))
+                            + cell_value((k + 1, j))
                             + float(r[i - 1] * r[k] * r[j])
                         )
                         if staged is None or cost < staged:
@@ -337,23 +364,26 @@ class _ParenthesizerBase:
                         folded += 1
                         alternatives += 1
                     else:
-                        remaining.append((_prio, k))
+                        remaining.append(k)
                 pending[key] = remaining
                 if folded:
                     pe.count_op(folded)
-                    machine.emit("op", pe_index[key], f"m{i},{j}")
+                    if observed:
+                        machine.emit("op", idx, f"m{i},{j}")
                     pe["M"].set(staged)
                 machine.exit_pe()
+                if any(known.get(k, step) < step for k in remaining):
+                    # Capacity ran out with alternatives still foldable.
+                    wake.setdefault(step + 1, set()).add(key)
                 if not remaining and key in split:
                     done[key] = step
-                    newly_done.append(key)
-                    if self._transfer_delay(2, 1) == 0:  # broadcast mapping
+                    unresolved -= 1
+                    completed(i, j)
+                    if bus:
                         machine.put_on_bus(1, label=f"bus:m{i},{j}")
-            for key in newly_done:
-                unresolved.discard(key)
             machine.end_tick()
             if step > 4 * n * n + 8:  # defensive: schedule must terminate
-                raise RuntimeError(f"{self.design_name}: schedule did not converge")
+                raise SystolicError(f"{self.design_name}: schedule did not converge")
 
         def build(i: int, j: int) -> int | tuple:
             if i == j:

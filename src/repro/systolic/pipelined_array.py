@@ -465,7 +465,8 @@ class PipelinedMatrixStringArray:
         PE ``i`` sees moving element ``x_s`` at local step ``s`` (global
         tick ``s + i`` inside the phase) and needs matrix element
         ``mat[i, s]`` then — the skewed feed the paper's Figure 3(a)
-        depicts.
+        depicts.  Tick ``t`` of the skew therefore drives only PEs
+        ``max(0, t-m+1) … min(t, m-1)``.
         """
         sr = self.sr
         pes = machine.pes
@@ -475,26 +476,26 @@ class PipelinedMatrixStringArray:
         for pe in pes:
             pe["ACC"].set(sr.zero)
         machine.latch()
+        rows = _rows(mat)
+        add, mul = sr.scalar_ops
         for t in range(2 * m - 1):
-            active = 0
-            for i, pe in enumerate(pes):
+            observed = machine.observed
+            lo, hi = max(0, t - m + 1), min(t, m - 1)
+            for i in range(lo, hi + 1):
+                pe = pes[i]
                 s = t - i
-                if not 0 <= s < m:
-                    continue
                 machine.enter_pe(i)
                 x_in = moving[s] if i == 0 else pes[i - 1]["R"].value
-                pe["ACC"].set(
-                    sr.scalar_add(pe["ACC"].value, sr.scalar_mul(float(mat[i, s]), x_in))
-                )
+                pe["ACC"].set(add(pe["ACC"].value, mul(rows[i][s], x_in)))
                 pe["R"].set(x_in)
                 machine.exit_pe()
                 pe.count_op()
-                active += 1
-                machine.emit(
-                    "op", i, f"p{machine.phase}:x{s + 1}",
-                    tick=machine.overlapped_tick(i, s),
-                )
-            machine.stats.input_words += active  # one matrix element per active PE
+                if observed:
+                    machine.emit(
+                        "op", i, f"p{machine.phase}:x{s + 1}",
+                        tick=machine.overlapped_tick(i, s),
+                    )
+            machine.stats.input_words += hi - lo + 1  # one matrix element per active PE
             machine.end_tick(advance=t < m)  # overlapped schedule: m ticks per phase
         return [pe["ACC"].value for pe in pes]
 
@@ -507,32 +508,32 @@ class PipelinedMatrixStringArray:
 
         Partial ``y_s`` enters P₁ at local step ``s`` and picks up
         ``mat[s, i] ⊗ x_i`` at PE ``i`` — the transposed feed (column
-        ``i`` of the matrix into ``P_i``) of the paper.
+        ``i`` of the matrix into ``P_i``) of the paper.  The skew is the
+        one of :meth:`_phase_a`.
         """
         sr = self.sr
         pes = machine.pes
         m = len(pes)
         out: list[float] = [sr.zero] * m
+        rows = _rows(mat)
+        add, mul = sr.scalar_ops
         for t in range(2 * m - 1):
-            active = 0
-            for i, pe in enumerate(pes):
+            observed = machine.observed
+            lo, hi = max(0, t - m + 1), min(t, m - 1)
+            for i in range(lo, hi + 1):
+                pe = pes[i]
                 s = t - i
-                if not 0 <= s < m:
-                    continue
                 machine.enter_pe(i)
                 part_in = sr.zero if i == 0 else pes[i - 1]["Y"].value
-                part_out = sr.scalar_add(
-                    part_in, sr.scalar_mul(float(mat[s, i]), pe["X"].value)
-                )
-                pe["Y"].set(part_out)
+                pe["Y"].set(add(part_in, mul(rows[s][i], pe["X"].value)))
                 machine.exit_pe()
                 pe.count_op()
-                active += 1
-                machine.emit(
-                    "op", i, f"p{machine.phase}:y{s + 1}",
-                    tick=machine.overlapped_tick(i, s),
-                )
-            machine.stats.input_words += active
+                if observed:
+                    machine.emit(
+                        "op", i, f"p{machine.phase}:y{s + 1}",
+                        tick=machine.overlapped_tick(i, s),
+                    )
+            machine.stats.input_words += hi - lo + 1
             machine.end_tick(advance=t < m)
             s_last = t - (m - 1)
             if 0 <= s_last < m:
@@ -556,19 +557,18 @@ class PipelinedMatrixStringArray:
         pe = pes[0]
         pe["ACC"].set(sr.zero)
         machine.latch()
+        elems = _rows(row)[0]
+        add, mul = sr.scalar_ops
         for s in range(m):
             machine.enter_pe(0)
-            pe["ACC"].set(
-                sr.scalar_add(
-                    pe["ACC"].value, sr.scalar_mul(float(row[0, s]), moving[s])
-                )
-            )
+            pe["ACC"].set(add(pe["ACC"].value, mul(elems[s], moving[s])))
             machine.exit_pe()
             pe.count_op()
-            machine.emit(
-                "op", 0, f"p{machine.phase}:x{s + 1}",
-                tick=machine.overlapped_tick(0, s),
-            )
+            if machine.observed:
+                machine.emit(
+                    "op", 0, f"p{machine.phase}:x{s + 1}",
+                    tick=machine.overlapped_tick(0, s),
+                )
             machine.stats.input_words += 1
             machine.end_tick()
         return float(pe["ACC"].value)
@@ -583,22 +583,29 @@ class PipelinedMatrixStringArray:
         sr = self.sr
         pes = machine.pes
         m = len(pes)
+        elems = _rows(row)[0]
+        add, mul = sr.scalar_ops
         for t in range(m):
             pe = pes[t]
             machine.enter_pe(t)
             part_in = sr.zero if t == 0 else pes[t - 1]["Y"].value
-            pe["Y"].set(
-                sr.scalar_add(part_in, sr.scalar_mul(float(row[0, t]), pe["X"].value))
-            )
+            pe["Y"].set(add(part_in, mul(elems[t], pe["X"].value)))
             machine.exit_pe()
             pe.count_op()
-            machine.emit(
-                "op", t, f"p{machine.phase}:y1",
-                tick=machine.overlapped_tick(t, 0),
-            )
+            if machine.observed:
+                machine.emit(
+                    "op", t, f"p{machine.phase}:y1",
+                    tick=machine.overlapped_tick(t, 0),
+                )
             machine.stats.input_words += 1
             machine.end_tick()
         return float(pes[m - 1]["Y"].value)
+
+
+def _rows(mat: np.ndarray) -> list[list[float]]:
+    """A phase's matrix as nested Python floats, read once per phase:
+    indexing a list is far cheaper per PE step than a NumPy scalar."""
+    return mat.astype(float, copy=False).tolist()
 
 
 @dataclasses.dataclass(frozen=True)

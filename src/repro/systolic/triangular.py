@@ -45,6 +45,7 @@ from ..dp.obst import _check_weights
 from .fabric import (
     BackendMismatch,
     RunReport,
+    SystolicError,
     SystolicMachine,
     TraceEvent,
     normalize_backend,
@@ -380,7 +381,7 @@ class TriangularArray:
             unresolved = still
             machine.end_tick()
             if step > max_steps:  # defensive: must converge
-                raise RuntimeError("triangular schedule did not converge")
+                raise SystolicError("triangular schedule did not converge")
         goal = spec.goal()
         machine.write_output(1, label="out:goal")
         return TriangularRun(

@@ -254,6 +254,8 @@ def test_fuzz_parenthesizer_backends_agree(seed, n_mats, systolic):
     assert rtl.subproblem_completion == fast.subproblem_completion
     assert rtl.alternatives_evaluated == fast.alternatives_evaluated
     _assert_reports_match(rtl.report, fast.report, (dims, systolic))
+    # Per-PE busy ticks and every other counter match the closed forms.
+    assert dataclasses.replace(rtl.report, backend="fast") == fast.report
 
 
 @given(
