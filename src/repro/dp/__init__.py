@@ -13,6 +13,7 @@ from .matrix_chain import (
     brute_force_matrix_chain,
     count_scalar_multiplications,
     enumerate_parenthesizations,
+    expression_from_splits,
     multiply_in_order,
     solve_matrix_chain,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "brute_force_matrix_chain",
     "count_scalar_multiplications",
     "enumerate_parenthesizations",
+    "expression_from_splits",
     "multiply_in_order",
     "EliminationResult",
     "NonserialObjective",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "multiply_in_order",
     "count_scalar_multiplications",
     "enumerate_parenthesizations",
+    "expression_from_splits",
 ]
 
 
@@ -46,6 +47,11 @@ class ChainOrder:
     @property
     def num_matrices(self) -> int:
         return len(self.dims) - 1
+
+
+#: Stack marker of the explicit-stack tree walks below: join the two
+#: subtrees finished last.
+_JOIN = object()
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -79,13 +85,39 @@ def solve_matrix_chain(dims: Sequence[int]) -> ChainOrder:
             m[i, j] = costs[best]
             split[i, j] = ks[best]
 
-    def build(i: int, j: int):
-        if i == j:
-            return i
-        k = int(split[i, j])
-        return (build(i, k), build(k + 1, j))
+    return ChainOrder(
+        dims=dims, expression=expression_from_splits(split, n), cost=int(m[1, n])
+    )
 
-    return ChainOrder(dims=dims, expression=build(1, n), cost=int(m[1, n]))
+
+def expression_from_splits(splits: Any, n: int) -> tuple | int:
+    """The nested-tuple expression of ``M_1 … M_n`` from a split table.
+
+    ``splits[i, j]`` is the matrix ``k`` after which ``M_i … M_j`` splits
+    (``i ≤ k < j``); a 2-D array and a dict keyed by ``(i, j)`` both
+    index that way.  Built with an explicit stack, so a left- or
+    right-deep optimum of any length does not hit Python's recursion
+    limit.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    built: list[tuple | int] = []
+    todo: list[Any] = [(1, n)]  # ranges still to build, and _JOIN marks
+    while todo:
+        item = todo.pop()
+        if item is _JOIN:
+            right = built.pop()
+            built.append((built.pop(), right))
+            continue
+        i, j = item
+        if i == j:
+            built.append(i)
+            continue
+        k = int(splits[i, j])
+        if not i <= k < j:
+            raise ValueError(f"split {k} of ({i}, {j}) is outside [{i}, {j})")
+        todo += (_JOIN, (k + 1, j), (i, k))
+    return built[0]
 
 
 def enumerate_parenthesizations(n: int):
@@ -118,21 +150,28 @@ def count_scalar_multiplications(
     multiplication counts.
     """
     dims = _check_dims(dims)
-
-    def walk(expr) -> tuple[int, int, int]:  # (cost, first_index, last_index)
-        if isinstance(expr, int):
+    # Post-order walk with an explicit stack (deep chains stay in bounds);
+    # ``walked`` holds (cost, first_index, last_index) per finished subtree.
+    walked: list[tuple[int, int, int]] = []
+    todo: list[Any] = [expression]
+    while todo:
+        expr = todo.pop()
+        if expr is _JOIN:
+            cr, ri, rj = walked.pop()
+            cl, li, lj = walked.pop()
+            if ri != lj + 1:
+                raise ValueError(
+                    f"non-contiguous parenthesization at ({li}..{lj}, {ri}..{rj})"
+                )
+            walked.append((cl + cr + dims[li - 1] * dims[lj] * dims[rj], li, rj))
+        elif isinstance(expr, int):
             if not 1 <= expr <= len(dims) - 1:
                 raise ValueError(f"matrix index {expr} out of range")
-            return 0, expr, expr
-        left, right = expr
-        cl, li, lj = walk(left)
-        cr, ri, rj = walk(right)
-        if ri != lj + 1:
-            raise ValueError(f"non-contiguous parenthesization at {expr}")
-        cost = cl + cr + dims[li - 1] * dims[lj] * dims[rj]
-        return cost, li, rj
-
-    cost, i, j = walk(expression)
+            walked.append((0, expr, expr))
+        else:
+            left, right = expr
+            todo += (_JOIN, right, left)
+    cost, i, j = walked[0]
     return cost, (dims[i - 1], dims[j])
 
 

@@ -27,25 +27,28 @@ restated.
 
 The RTL backend drives the sweep on a
 :class:`~repro.systolic.fabric.SystolicMachine` (one PE per OR-node);
-the fast backend runs a vectorized per-diagonal DP — one NumPy reduction
-across all same-span subproblems per split offset — certifies its table
-in one pass (:func:`~repro.dp.certificate.certify_interval`), plus a per-span
-greedy schedule (:func:`repro.systolic.triangular.greedy_completion`):
-all same-span subproblems share one alternative-availability multiset,
-so their completion steps coincide, and the closed-form counters match
-the RTL sweep exactly.
+the fast backend runs a vectorized per-diagonal DP — one NumPy
+expression and one ``argmin`` over every split of every same-span
+subproblem — certifies its table in one pass
+(:func:`~repro.dp.certificate.certify_interval`), and reads its schedule
+from a per-``(design, N)`` memo of per-span greedy runs
+(:func:`repro.systolic.triangular.greedy_completion`): all same-span
+subproblems share one alternative-availability multiset, so their
+completion steps coincide, and the closed-form counters match the RTL
+sweep exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .._readonly import read_only
 from ..dp.certificate import certify_interval
-from ..dp.matrix_chain import ChainOrder, _check_dims
+from ..dp.matrix_chain import ChainOrder, _check_dims, expression_from_splits
 from .fabric import (
     BackendMismatch,
     RunReport,
@@ -150,25 +153,77 @@ def t_p_recurrence(n: int) -> int:
 def _interval_tables(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Eq. (6)'s cost and split tables ``M``, ``S`` over 1-based ``(i, j)``.
 
-    Vectorized diagonal DP: for each span, all split offsets reduce
-    across the whole diagonal at once (O(n) NumPy ops per span instead
-    of O(n²) Python folds); ties keep the lowest split.
+    Vectorized diagonal DP, one anti-diagonal per step as on the arrays:
+    for each span, every split ``k = i + off`` of every same-span cell
+    is one ``(span − 1, cells)`` expression and one ``argmin`` over the
+    split axis (O(1) NumPy ops per span); the first minimum keeps the
+    lowest split on ties.
     """
     r = np.asarray(dims, dtype=np.int64)
     n = r.size - 1
     M = np.zeros((n + 2, n + 2), dtype=np.int64)
     S = np.zeros((n + 2, n + 2), dtype=np.int64)
     for span in range(2, n + 1):
-        i_idx = np.arange(1, n - span + 2)
-        j_idx = i_idx + span - 1
-        costs = np.empty((span - 1, i_idx.size), dtype=np.int64)
-        for off in range(span - 1):
-            k = i_idx + off
-            costs[off] = M[i_idx, k] + M[k + 1, j_idx] + r[i_idx - 1] * r[k] * r[j_idx]
-        arg = np.argmin(costs, axis=0)
-        M[i_idx, j_idx] = costs[arg, np.arange(i_idx.size)]
-        S[i_idx, j_idx] = i_idx + arg
+        i = np.arange(1, n - span + 2)
+        j = i + span - 1
+        k = i + np.arange(span - 1)[:, None]  # [off, cell]: split after M_k
+        costs = M[i, k] + M[k + 1, j] + r[i - 1] * r[k] * r[j]
+        arg = costs.argmin(axis=0)
+        M[i, j] = costs[arg, np.arange(i.size)]
+        S[i, j] = i + arg
     return M, S
+
+
+@functools.lru_cache(maxsize=128)
+def _fast_schedule(
+    design: type[_ParenthesizerBase], n: int
+) -> tuple[Mapping[tuple[int, int], int], RunReport]:
+    """The schedule of ``n`` matrices on ``design``: its read-only
+    per-subproblem completion map and closed-form :class:`RunReport`.
+
+    Neither depends on the dimensions, so every run of one design and
+    ``n`` shares them (both are immutable).  Every span-``s`` cell shares
+    one availability multiset (child spans ``off + 1`` and
+    ``s − off − 1``), so one greedy run covers the whole diagonal.
+    """
+    delay = design._transfer_delay
+    done_span = {1: design.base_time}
+    busy_span: dict[int, int] = {}
+    alternatives = 0
+    for span in range(2, n + 1):
+        avail = [
+            max(
+                done_span[off + 1] + delay(span, off + 1),
+                done_span[span - off - 1] + delay(span, span - off - 1),
+            )
+            for off in range(span - 1)
+        ]
+        done_span[span], busy_span[span] = greedy_completion(
+            avail, design.alternatives_per_step
+        )
+        alternatives += (span - 1) * (n - span + 1)
+
+    completion = {(i, i): design.base_time for i in range(1, n + 1)}
+    for span in range(2, n + 1):
+        for i in range(1, n - span + 2):
+            completion[(i, i + span - 1)] = done_span[span]
+    cells = sorted(key for key in completion if key[1] > key[0])  # PE order
+    goal_step = done_span[n]
+    num_pes = n * (n - 1) // 2
+    report = RunReport(
+        design=design.design_name,
+        num_pes=num_pes,
+        iterations=goal_step,
+        wall_ticks=goal_step,
+        pe_busy_ticks=tuple(busy_span[j - i + 1] for i, j in cells),
+        pe_op_counts=tuple(j - i for i, j in cells),  # span-1 alternatives per PE
+        serial_ops=alternatives,
+        input_words=n + 1,
+        output_words=1,
+        broadcast_words=num_pes if delay(2, 1) == 0 else 0,
+        backend="fast",
+    )
+    return read_only(completion), report
 
 
 class _ParenthesizerBase:
@@ -195,7 +250,8 @@ class _ParenthesizerBase:
     def __init__(self, backend: str = "rtl") -> None:
         self.backend = normalize_backend(backend)
 
-    def _transfer_delay(self, parent_size: int, child_size: int) -> int:
+    @staticmethod
+    def _transfer_delay(parent_size: int, child_size: int) -> int:
         raise NotImplementedError
 
     def run(
@@ -385,12 +441,6 @@ class _ParenthesizerBase:
             if step > 4 * n * n + 8:  # defensive: schedule must terminate
                 raise SystolicError(f"{self.design_name}: schedule did not converge")
 
-        def build(i: int, j: int) -> int | tuple:
-            if i == j:
-                return i
-            k = split[(i, j)]
-            return (build(i, k), build(k + 1, j))
-
         machine.write_output(1, label="out:cost")
         final_cost = cell_value((1, n)) if n > 1 else 0.0
         if not np.isfinite(final_cost):
@@ -398,7 +448,9 @@ class _ParenthesizerBase:
                 f"{self.design_name}: non-finite chain cost {final_cost!r} "
                 "(a cost register never latched a value)"
             )
-        order = ChainOrder(dims=dims, expression=build(1, n), cost=int(final_cost))
+        order = ChainOrder(
+            dims=dims, expression=expression_from_splits(split, n), cost=int(final_cost)
+        )
         goal_step = done[(1, n)]
         return ParenthesizationRun(
             order=order,
@@ -419,64 +471,16 @@ class _ParenthesizerBase:
     # ------------------------------------------------------------------
     def _run_fast(self, dims: tuple[int, ...], n: int) -> ParenthesizationRun:
         M, S = _interval_tables(dims)
-        done_span = {1: self.base_time}
-        busy_span: dict[int, int] = {}
-        alternatives = 0
-        for span in range(2, n + 1):
-            cells = n - span + 1
-            # Schedule: every span-s cell shares one availability multiset
-            # (child spans off+1 and span-off-1), so one greedy run covers
-            # the whole diagonal.
-            avail = [
-                max(
-                    done_span[off + 1] + self._transfer_delay(span, off + 1),
-                    done_span[span - off - 1] + self._transfer_delay(span, span - off - 1),
-                )
-                for off in range(span - 1)
-            ]
-            done_span[span], busy_span[span] = greedy_completion(
-                avail, self.alternatives_per_step
-            )
-            alternatives += (span - 1) * cells
-
-        def build(i: int, j: int) -> int | tuple:
-            if i == j:
-                return i
-            k = int(S[i, j])
-            return (build(i, k), build(k + 1, j))
-
-        completion = {(i, i): self.base_time for i in range(1, n + 1)}
-        ops: list[int] = []
-        busy: list[int] = []
-        for span in range(2, n + 1):
-            for i in range(1, n - span + 2):
-                completion[(i, i + span - 1)] = done_span[span]
-        for (i, j) in sorted(k for k in completion if k[1] > k[0]):
-            ops.append(j - i)  # span-1 alternatives per PE
-            busy.append(busy_span[j - i + 1])
-
-        order = ChainOrder(dims=dims, expression=build(1, n), cost=int(M[1, n]))
-        goal_step = done_span.get(n, self.base_time)
-        num_pes = n * (n - 1) // 2
-        report = RunReport(
-            design=self.design_name,
-            num_pes=num_pes,
-            iterations=goal_step,
-            wall_ticks=goal_step,
-            pe_busy_ticks=tuple(busy),
-            pe_op_counts=tuple(ops),
-            serial_ops=alternatives,
-            input_words=len(dims),
-            output_words=1,
-            broadcast_words=num_pes if self._transfer_delay(2, 1) == 0 else 0,
-            backend="fast",
+        completion, report = _fast_schedule(type(self), n)
+        order = ChainOrder(
+            dims=dims, expression=expression_from_splits(S, n), cost=int(M[1, n])
         )
         return ParenthesizationRun(
             order=order,
-            steps=goal_step,
-            num_processors=num_pes if n > 1 else 1,
+            steps=report.iterations,
+            num_processors=report.num_pes if n > 1 else 1,
             subproblem_completion=completion,
-            alternatives_evaluated=alternatives,
+            alternatives_evaluated=report.serial_ops,
             report=report,
             certified=certify_interval(dims, M, S, order),
         )
@@ -487,7 +491,8 @@ class BroadcastParenthesizer(_ParenthesizerBase):
 
     design_name = "parenthesizer-broadcast"
 
-    def _transfer_delay(self, parent_size: int, child_size: int) -> int:
+    @staticmethod
+    def _transfer_delay(parent_size: int, child_size: int) -> int:
         return 0  # bus: a completed result is visible everywhere next step
 
 
@@ -503,5 +508,6 @@ class SystolicParenthesizer(_ParenthesizerBase):
     design_name = "parenthesizer-systolic"
     base_time = 2  # T_p(1) = 2: leaves spend a step entering the fabric
 
-    def _transfer_delay(self, parent_size: int, child_size: int) -> int:
+    @staticmethod
+    def _transfer_delay(parent_size: int, child_size: int) -> int:
         return parent_size - child_size

@@ -11,6 +11,7 @@ from repro.dp import (
     brute_force_matrix_chain,
     count_scalar_multiplications,
     enumerate_parenthesizations,
+    expression_from_splits,
     multiply_in_order,
     solve_matrix_chain,
 )
@@ -90,6 +91,48 @@ class TestCounting:
         cost, shape = count_scalar_multiplications([2, 3, 4], (1, 2))
         assert shape == (2, 4)
         assert cost == 24
+
+
+class TestDeepChains:
+    """Split tables far deeper than Python's recursion limit (n = 3000).
+
+    Expressions are checked by walking them, never with ``==``: comparing
+    deep tuples recurses in C.
+    """
+
+    N = 3000
+
+    def _dims(self):
+        rng = np.random.default_rng(3000)
+        return tuple(int(d) for d in rng.integers(1, 9, self.N + 1))
+
+    def test_left_deep(self):
+        n, dims = self.N, self._dims()
+        expr = expression_from_splits({(1, j): j - 1 for j in range(2, n + 1)}, n)
+        cost, shape = count_scalar_multiplications(dims, expr)
+        assert cost == sum(dims[0] * dims[k] * dims[k + 1] for k in range(1, n))
+        assert shape == (dims[0], dims[n])
+        for j in range(n, 1, -1):  # (((1, 2), 3) … , n)
+            expr, last = expr
+            assert last == j
+        assert expr == 1
+
+    def test_right_deep(self):
+        n, dims = self.N, self._dims()
+        expr = expression_from_splits({(i, n): i for i in range(1, n)}, n)
+        cost, _ = count_scalar_multiplications(dims, expr)
+        assert cost == sum(dims[i - 1] * dims[i] * dims[n] for i in range(1, n))
+        for i in range(1, n):  # (1, (2, … (n-1, n)))
+            first, expr = expr
+            assert first == i
+        assert expr == n
+
+    def test_single_matrix_and_bad_splits(self):
+        assert expression_from_splits({}, 1) == 1
+        with pytest.raises(ValueError, match="outside"):
+            expression_from_splits({(1, 3): 3}, 3)
+        with pytest.raises(ValueError):
+            expression_from_splits({}, 0)
 
 
 class TestExecution:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.systolic import (
     t_d_recurrence,
     t_p_recurrence,
 )
+from repro.systolic.parenthesization import _interval_tables
 
 
 class TestRecurrences:
@@ -132,3 +135,65 @@ def test_property_both_mappings_solve_eq6_on_schedule(dims):
     s = SystolicParenthesizer().run(dims)
     assert b.order.cost == ref and b.steps == n
     assert s.order.cost == ref and s.steps == 2 * n
+
+
+def _eq6_triple_loop(dims):
+    """Plain eq. (6) in Python: spans, cells, splits; the lowest split
+    wins ties.  The reference for the vectorized kernel."""
+    n = len(dims) - 1
+    M = [[0] * (n + 2) for _ in range(n + 2)]
+    S = [[0] * (n + 2) for _ in range(n + 2)]
+    for span in range(2, n + 1):
+        for i in range(1, n - span + 2):
+            j = i + span - 1
+            best = None
+            for k in range(i, j):
+                cost = M[i][k] + M[k + 1][j] + dims[i - 1] * dims[k] * dims[j]
+                if best is None or cost < best:
+                    best, S[i][j] = cost, k
+            M[i][j] = best
+    return M, S
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True])
+def test_interval_tables_match_triple_loop(tie_heavy):
+    rng = np.random.default_rng(40 + tie_heavy)
+    for n in range(1, 41):
+        # Dims in 1..3 make many splits cost the same.
+        dims = tuple(int(d) for d in rng.integers(1, 4 if tie_heavy else 60, n + 1))
+        M, S = _interval_tables(dims)
+        ref_m, ref_s = _eq6_triple_loop(dims)
+        assert M.tolist() == ref_m, dims
+        assert S.tolist() == ref_s, dims
+
+
+@pytest.mark.parametrize("design", [BroadcastParenthesizer, SystolicParenthesizer])
+def test_fast_schedule_shared_per_design_and_n(design):
+    # The fast schedule depends only on (design, n): rtl agrees with it,
+    # other dims of the same n get the same read-only counters.
+    rng = np.random.default_rng(16)
+    for n in range(1, 17):
+        dims = tuple(int(d) for d in rng.integers(1, 30, n + 1))
+        rtl = design().run(dims, backend="rtl")
+        fast = design().run(dims, backend="fast")
+        assert dataclasses.replace(rtl.report, backend="fast") == fast.report
+        assert rtl.subproblem_completion == fast.subproblem_completion
+        ties = tuple(int(d) for d in rng.integers(1, 4, n + 1))
+        other = design().run(ties, backend="fast")
+        assert other.report == fast.report
+        assert other.subproblem_completion == fast.subproblem_completion
+        assert other.alternatives_evaluated == fast.alternatives_evaluated
+        with pytest.raises(TypeError):
+            other.subproblem_completion[(1, 1)] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            other.report.pe_busy_ticks = ()
+
+
+def test_fast_schedule_not_shared_across_designs():
+    for n in range(1, 17):
+        dims = tuple(range(1, n + 2))
+        b = BroadcastParenthesizer().run(dims, backend="fast")
+        s = SystolicParenthesizer().run(dims, backend="fast")
+        assert (b.steps, s.steps) == (n, 2 * n)
+        assert b.report.design != s.report.design
+        assert b.subproblem_completion != s.subproblem_completion
