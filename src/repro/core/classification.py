@@ -124,12 +124,8 @@ def recommend(problem: object, *, stage_ratio_threshold: float = 4.0) -> Recomme
             "unstructured polyadic recursion (eq. 6)",
         )
     if isinstance(problem, (MultistageGraph, NodeValueProblem)):
-        if isinstance(problem, NodeValueProblem):
-            n_stages = problem.num_stages
-            width = max(problem.stage_sizes)
-        else:
-            n_stages = problem.num_stages
-            width = max(problem.stage_sizes)
+        n_stages = problem.num_stages
+        width = max(problem.stage_sizes)
         if n_stages > stage_ratio_threshold * width:
             return Recommendation(
                 DPClass.POLYADIC_SERIAL,

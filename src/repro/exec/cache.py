@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable
 
 __all__ = ["CacheStats", "SolveCache", "cacheable", "default_cache"]
 
@@ -79,13 +79,25 @@ class SolveCache:
 
     def put(self, key: Hashable, report: Any) -> None:
         """Store ``report`` itself (no copy), evicting the LRU entry if full."""
+        self.put_many(((key, report),))
+
+    def put_many(self, items: Iterable[tuple[Hashable, Any]]) -> None:
+        """Store every ``(key, report)`` pair, in order, under one lock.
+
+        The result is exactly that of a loop of :meth:`put`: each item
+        becomes the most recently used entry (a re-stored key moves to
+        the end), and each overflow evicts the oldest entry at once, so
+        an item stored early in the call can be evicted by a later one.
+        """
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = report
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            entries, capacity = self._entries, self.capacity
+            for key, report in items:
+                if key in entries:
+                    entries.move_to_end(key)
+                entries[key] = report
+                while len(entries) > capacity:
+                    entries.popitem(last=False)
+                    self._evictions += 1
 
     def clear(self) -> None:
         with self._lock:

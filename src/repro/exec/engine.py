@@ -149,21 +149,16 @@ def solve_batch(
     plain = cacheable(sinks, fault_plan, backend, strict)
     cache_active = cache_obj is not None and plain
 
-    reports: list[SolveReport | None] = [None] * total
-    keys: list[tuple | None] = [None] * total
-    cache_hits = 0
+    keys: list[tuple | None] = []
+    reports: list[SolveReport | None]
     if cache_active:
         assert cache_obj is not None
-        for i, problem in enumerate(problem_list):
-            keys[i] = cache_key(problem, backend=backend, prefer=prefer)
-            if keys[i] is None:
-                continue
-            hit = cache_obj.get(keys[i])
-            if hit is not None:
-                reports[i] = hit
-                cache_hits += 1
+        keys = [cache_key(p, backend=backend, prefer=prefer) for p in problem_list]
+        reports = [None if key is None else cache_obj.get(key) for key in keys]
+    else:
+        reports = [None] * total
 
-    pending = [i for i in range(total) if reports[i] is None]
+    pending = [i for i, report in enumerate(reports) if report is None]
     groups = group_problems(
         [problem_list[i] for i in pending],
         pending,
@@ -191,9 +186,10 @@ def solve_batch(
 
     if cache_active:
         assert cache_obj is not None
-        for i in pending:
-            if keys[i] is not None and reports[i] is not None:
-                cache_obj.put(keys[i], reports[i])
+        # One lock round trip for every row this call executed.
+        cache_obj.put_many(
+            (keys[i], reports[i]) for i in pending if keys[i] is not None
+        )
 
     final = tuple(r for r in reports if r is not None)
     if len(final) != total:  # pragma: no cover - internal invariant
@@ -202,7 +198,7 @@ def solve_batch(
     vectorized_problems = sum(len(g) for g in groups if g.kind in VECTORIZED_KINDS)
     stats = BatchStats(
         total=total,
-        cache_hits=cache_hits,
+        cache_hits=total - len(pending),
         executed=len(pending),
         groups=len(groups),
         vectorized_groups=sum(g.kind in VECTORIZED_KINDS for g in groups),

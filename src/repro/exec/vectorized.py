@@ -32,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.solver import SolveReport, _certified
+from ..core.solver import SolveReport, _certified, _graph_fits_linear_array
 from ..dp.certificate import require_argreduce
 from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
 from ..systolic.feedback_array import _fast_kernel as feedback_kernel
@@ -66,15 +66,13 @@ def _prepare_feedback(group: Group) -> dict[str, Any]:
         "n_stages": first.num_stages,
         "m": first.stage_sizes[0],
         "layers": layers,  # (N-1, B, m, m)
-        "recommendations": list(group.recommendations),
+        "recommendation": group.recommendation,
     }
 
 
 def _prepare_pipelined(group: Group) -> dict[str, Any]:
     problems: list[MultistageGraph] = group.problems
     first = problems[0]
-    from ..core.solver import _graph_fits_linear_array
-
     framed = not _graph_fits_linear_array(first)
     targets = [add_virtual_terminals(g) if framed else g for g in problems]
     num_layers = targets[0].num_layers
@@ -86,7 +84,7 @@ def _prepare_pipelined(group: Group) -> dict[str, Any]:
         "kind": "pipelined",
         "semiring": first.semiring,
         "mats": mats,  # list of (B, rows, cols); last is the (B, m, 1) sink column
-        "recommendations": list(group.recommendations),
+        "recommendation": group.recommendation,
     }
 
 
@@ -107,9 +105,10 @@ def _run_feedback(payload: dict[str, Any]) -> list[SolveReport]:
     sr = payload["semiring"]
     require_argreduce(sr)
     results = feedback_kernel(sr, sr.asarray(payload["layers"]))
+    rec = payload["recommendation"]
     return [
         _certified(rec, "fig5-feedback-array", res.optimum, res.path, res, res.certified)
-        for res, rec in zip(results, payload["recommendations"])
+        for res in results
     ]
 
 
@@ -119,6 +118,7 @@ def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
     mats = [sr.asarray(a) for a in payload["mats"]]
     # As ``_normalize_string``: the last operand is the sink column.
     results = pipelined_kernel(sr, mats[:-1], mats[-1][..., 0])
+    rec = payload["recommendation"]
     return [
         _certified(
             rec,
@@ -128,5 +128,5 @@ def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
             res,
             res.certified,
         )
-        for res, rec in zip(results, payload["recommendations"])
+        for res in results
     ]

@@ -108,7 +108,11 @@ class FeedbackArrayResult:
     certified: bool | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        read_only((self.final_stage_values, self.stage_values))
+        # The one array field directly; the fast kernel leaves
+        # ``stage_values`` empty, so most rows skip the tuple walk.
+        self.final_stage_values.flags.writeable = False
+        if self.stage_values:
+            read_only(self.stage_values)
 
 
 def _serial_ops(n_stages: int, m: int) -> int:
@@ -204,11 +208,12 @@ def _fast_kernel(
         nodes = [winner]
         for k in range(n_layers - 1, -1, -1):
             nodes.append(flat[(k * count + i) * m + nodes[-1]])
+        nodes.reverse()
         # The row is copied out, so a cached result does not keep the stack alive.
         results.append(
             FeedbackArrayResult(
                 optimum=optimum,
-                path=StagePath(nodes=tuple(reversed(nodes)), cost=optimum),
+                path=StagePath(nodes=tuple(nodes), cost=optimum),
                 final_stage_values=final_h.copy(),
                 report=report,
                 certified=ok,

@@ -13,16 +13,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import MatrixChainProblem, solve, solve_batch
+from repro import MatrixChainProblem, recommend, solve, solve_batch
 from repro.exec import group_problems
+from repro.exec.grouping import _plan
 from repro.graphs import (
+    MultistageGraph,
     NodeValueProblem,
     random_multistage,
     single_source_sink,
     traffic_light_problem,
     uniform_multistage,
 )
-from repro.semiring import MIN_PLUS
+from repro.semiring import MAX_PLUS, MIN_PLUS
 from repro.telemetry import MetricsRegistry
 
 
@@ -105,6 +107,88 @@ class TestGrouping:
         groups = group_problems(probs, list(range(6)), prefer=None, vectorize=True)
         seen = sorted(i for g in groups for i in g.indices)
         assert seen == list(range(6))
+
+
+def _signature(problem):
+    return (type(problem), problem.stage_sizes, problem.semiring.name)
+
+
+class TestGroupingMemo:
+    """``group_problems`` classifies once per (type, shape, semiring), and
+    the memo is exact: the same groups as classifying every problem."""
+
+    @pytest.fixture
+    def mixed(self, rng):
+        def node_value(sizes, semiring=MIN_PLUS):
+            values = tuple(rng.uniform(0, 5, size) for size in sizes)
+            return NodeValueProblem(
+                values=values, edge_cost=lambda a, b: np.abs(a - b), semiring=semiring
+            )
+
+        def graph(sizes, semiring=MIN_PLUS):
+            return random_multistage(rng, sizes, semiring=semiring)
+
+        makers = [
+            lambda: node_value([4] * 5),
+            lambda: graph([4] * 5),  # same stage sizes, edge-cost form
+            lambda: node_value([4] * 5, MAX_PLUS),  # same shape, other semiring
+            lambda: graph([4] * 5, MAX_PLUS),
+            lambda: node_value([3, 4, 2, 3]),  # non-uniform: sequential
+            lambda: uniform_multistage(rng, 20, 3),  # N > 4·m: dnc
+            lambda: MatrixChainProblem((4, 7, 3, 5, 2)),
+        ]
+        # Three rounds, interleaved, so every group has several members.
+        return [make() for _ in range(3) for make in makers]
+
+    @pytest.mark.parametrize(
+        "prefer", [None, "pipelined", "broadcast", "sequential", "dnc"]
+    )
+    def test_groups_match_per_problem_reference(self, mixed, prefer):
+        reference: dict = {}
+        for pos, problem in enumerate(mixed):
+            key = _plan(problem, recommend(problem), prefer)
+            reference.setdefault(key, []).append(pos)
+        positions = list(range(len(mixed)))
+        groups = group_problems(mixed, positions, prefer=prefer, vectorize=True)
+        assert [(g.key, g.indices) for g in groups] == list(reference.items())
+        for group in groups:
+            assert all(p is mixed[i] for p, i in zip(group.problems, group.indices))
+            if group.kind == "scalar":
+                assert group.recommendation is None
+            else:
+                assert all(group.recommendation == recommend(p) for p in group.problems)
+        assert any(g.kind != "scalar" for g in groups)
+
+    @pytest.mark.parametrize("prefer", [None, "pipelined", "dnc"])
+    def test_batch_rows_carry_their_own_recommendation(self, mixed, prefer):
+        result = solve_batch(mixed, prefer=prefer)
+        assert result.stats.vectorized_problems > 0
+        for report, problem in zip(result, mixed):
+            assert report.recommendation == recommend(problem)
+
+    @pytest.mark.parametrize("prefer", [None, "pipelined", "sequential"])
+    def test_recommend_runs_once_per_signature(self, mixed, prefer, monkeypatch):
+        import repro.exec.grouping as grouping
+
+        seen = []
+
+        def counting(problem, **kwargs):
+            seen.append(problem)
+            return recommend(problem, **kwargs)
+
+        monkeypatch.setattr(grouping, "recommend", counting)
+        group_problems(mixed, list(range(len(mixed))), prefer=prefer, vectorize=True)
+        serial = [
+            p for p in mixed if isinstance(p, (NodeValueProblem, MultistageGraph))
+        ]
+        signatures = [_signature(p) for p in seen]
+        assert len(signatures) == len(set(signatures))
+        assert set(signatures) == {_signature(p) for p in serial}
+        assert not any(isinstance(p, MatrixChainProblem) for p in seen)
+
+        seen.clear()
+        group_problems(mixed, list(range(len(mixed))), prefer=prefer, vectorize=False)
+        assert seen == []
 
 
 class TestVectorizedKernels:

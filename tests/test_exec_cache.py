@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -124,6 +126,117 @@ class TestSolveCacheLRU:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SolveCache(capacity=0)
+
+
+def _looped_and_bulk(capacity, preload, items):
+    """Two caches fed ``preload`` by ``put``, then ``items`` by a loop of
+    ``put`` and by one ``put_many`` respectively."""
+    looped, bulk = SolveCache(capacity), SolveCache(capacity)
+    for cache in (looped, bulk):
+        for key, report in preload:
+            cache.put(key, report)
+    for key, report in items:
+        looped.put(key, report)
+    bulk.put_many(iter(items))
+    return looped, bulk
+
+
+def _assert_same_cache(a, b):
+    assert list(a._entries.items()) == list(b._entries.items())
+    assert (a.stats.evictions, a.stats.size) == (b.stats.evictions, b.stats.size)
+
+
+class TestPutMany:
+    """``put_many`` is one lock round trip with the result of a ``put`` loop."""
+
+    def test_restored_key_moves_to_the_end(self):
+        items = [(("b",), "rb2"), (("d",), "rd")]
+        preload = [(("a",), "ra"), (("b",), "rb"), (("c",), "rc")]
+        looped, bulk = _looped_and_bulk(4, preload, items)
+        _assert_same_cache(looped, bulk)
+        assert list(bulk._entries) == [("a",), ("c",), ("b",), ("d",)]
+        assert bulk.get(("b",)) == "rb2"
+
+    def test_overflow_evicts_oldest_first_within_one_call(self):
+        # Capacity 2: the call's own first items are evicted by its later
+        # ones, and a key re-stored after its eviction counts as new.
+        preload = [(("x",), 0), (("y",), 1)]
+        items = [(("a",), 2), (("x",), 3), (("b",), 4), (("a",), 5), (("c",), 6)]
+        looped, bulk = _looped_and_bulk(2, preload, items)
+        _assert_same_cache(looped, bulk)
+        assert list(bulk._entries) == [("a",), ("c",)]
+        assert bulk.stats.evictions == 5
+
+    def test_duplicate_keys_in_one_call(self):
+        items = [(("a",), 1), (("b",), 2), (("a",), 3)]
+        looped, bulk = _looped_and_bulk(1, [], items)
+        _assert_same_cache(looped, bulk)
+        assert bulk.get(("a",)) == 3
+
+    def test_empty_iterable_is_a_no_op(self):
+        looped, bulk = _looped_and_bulk(2, [(("a",), 1)], [])
+        _assert_same_cache(looped, bulk)
+        stats = bulk.stats
+        assert (stats.size, stats.evictions, stats.hits, stats.misses) == (1, 0, 0, 0)
+
+    def test_batch_stores_through_put_many(self, rng, monkeypatch):
+        calls = []
+        original = SolveCache.put_many
+
+        def spy(self, items):
+            items = list(items)
+            calls.append(items)
+            original(self, items)
+
+        monkeypatch.setattr(SolveCache, "put_many", spy)
+        cache = SolveCache(capacity=8)
+        probs = [traffic_light_problem(rng, 5, 4) for _ in range(3)]
+        solve_batch(probs, cache=cache)
+        assert len(calls) == 1 and len(calls[0]) == 3
+        assert cache.stats.size == 3
+
+    def test_concurrent_put_many_and_get(self):
+        # More threads than cores, started together, with a short switch
+        # interval: a lost update to the counters would show in the totals.
+        cache = SolveCache(capacity=16)
+        errors = []
+        writers, rounds, width = 3, 1000, 8
+        start = threading.Barrier(writers + 1)
+
+        def writer(tag):
+            start.wait(timeout=60)
+            try:
+                for round_ in range(rounds):
+                    cache.put_many(((tag, round_, i), i) for i in range(width))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        def reader():
+            start.wait(timeout=60)
+            try:
+                for round_ in range(rounds):
+                    for i in range(width):
+                        cache.get((0, round_, i))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in range(writers)]
+        threads.append(threading.Thread(target=reader))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats
+        assert stats.size <= stats.capacity
+        assert stats.hits + stats.misses == rounds * width
+        assert stats.evictions == writers * rounds * width - stats.size
 
 
 class TestSolveIntegration:
