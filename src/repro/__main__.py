@@ -47,52 +47,21 @@ import sys
 
 import numpy as np
 
-#: CLI design names for the five array simulators.
-DESIGNS = ("pipelined", "broadcast", "feedback", "mesh", "paren")
+from .faults import DESIGNS, make_harness
 
 
 def _design_runner(design: str, rng: np.random.Generator, n: int, m: int):
-    """Build a random instance for ``design``; return ``(name, run)``.
+    """Build ``design``'s random instance with
+    :func:`~repro.faults.make_harness`, as ``inject`` does; return
+    ``(name, run)``.
 
-    ``name`` is the simulator's ``design_name``; the ``run`` closure has
-    a uniform signature across designs —
-    ``run(backend=None, sinks=(), record_trace=False) -> result`` where
-    the result carries ``.report`` (and ``.events`` when traced).
+    ``name`` is the simulator's ``design_name``; ``run(**kw)`` runs the
+    instance on the array with the array's keywords (``backend``,
+    ``sinks``, ``record_trace``, ``injector``, ``strict``) and returns a
+    result carrying ``.report`` (and ``.events`` when traced).
     """
-    if design in ("pipelined", "broadcast"):
-        from .systolic import BroadcastMatrixStringArray, PipelinedMatrixStringArray
-
-        mats = [
-            rng.integers(0, 100, size=(m, m)).astype(float) for _ in range(n - 1)
-        ]
-        mats.append(rng.integers(0, 100, size=(m, 1)).astype(float))
-        array = (
-            PipelinedMatrixStringArray()
-            if design == "pipelined"
-            else BroadcastMatrixStringArray()
-        )
-        return array.design_name, lambda **kw: array.run(mats, **kw)
-    if design == "feedback":
-        from .graphs import traffic_light_problem
-        from .systolic import FeedbackSystolicArray
-
-        problem = traffic_light_problem(rng, n, m)
-        array = FeedbackSystolicArray()
-        return array.design_name, lambda **kw: array.run(problem, **kw)
-    if design == "mesh":
-        from .systolic import MeshMatrixMultiplier
-
-        a = rng.integers(0, 100, size=(n, m)).astype(float)
-        b = rng.integers(0, 100, size=(m, n)).astype(float)
-        array = MeshMatrixMultiplier()
-        return array.design_name, lambda **kw: array.run(a, b, **kw)
-    if design == "paren":
-        from .systolic import SystolicParenthesizer
-
-        dims = tuple(int(d) for d in rng.integers(2, 50, size=n + 1))
-        array = SystolicParenthesizer()
-        return array.design_name, lambda **kw: array.run(dims, **kw)
-    raise ValueError(f"unknown design {design!r}")
+    harness = make_harness(design, rng, n=n, m=m)
+    return harness.array.design_name, harness.run
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:

@@ -8,6 +8,7 @@ oracle.
 * **monadic-serial, edge-cost form** → Fig. 3 pipelined array (Fig. 4
   broadcast array on request), falling back to the sequential sweep for
   shapes the linear arrays do not support (non-uniform interior stages).
+  Both arrays run the same certified mat-vec chain on ``fast``.
 * **polyadic-serial** (many stages) → divide-and-conquer on
   ``K = ⌈N/log₂N⌉`` arrays, the Theorem-1 optimal granularity.  The
   value comes from the Θ(N·m²) mat-vec chain on every backend; the
@@ -18,17 +19,19 @@ oracle.
 * **polyadic-nonserial** (matrix-chain) → the serialized systolic
   parenthesization array (broadcast mapping on request).
 
+One function, :func:`_design`, picks the array for a problem; healthy
+runs, fault runs and the batch engine all read it.
+
 Every report says how its optimum was checked (``SolveReport.validation``):
 
-* ``"certificate"`` — the ``fast``/``auto`` Fig. 5, Fig. 3,
+* ``"certificate"`` — the ``fast``/``auto`` Fig. 5, Fig. 3, Fig. 4,
   divide-and-conquer and parenthesization routes, and batch rows.  The
   kernel's own per-stage tables are checked against the paper's
   recurrence in one vectorized pass (:mod:`repro.dp.certificate`); no
   sequential solver re-runs.
 * ``"oracle"`` — the ``rtl`` backend (and any run forced onto it by
-  sinks or ``strict``), fault runs and Fig. 4: the optimum is compared
-  with an independent sequential solver, the paper's uniprocessor
-  baseline.
+  sinks or ``strict``) and fault runs: the optimum is compared with an
+  independent sequential solver, the paper's uniprocessor baseline.
 * ``"sequential"`` — the route is the sequential solver itself.
 """
 
@@ -50,7 +53,7 @@ from ..dp import (
 )
 from ..dp.certificate import certify_backward, require_argreduce
 from ..dp.nonserial import NonserialObjective
-from ..graphs import MultistageGraph, NodeValueProblem
+from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
 from ..systolic import (
     BroadcastMatrixStringArray,
     BroadcastParenthesizer,
@@ -187,8 +190,8 @@ def _checked(
     oracle: Callable[[], float],
 ) -> SolveReport:
     """The report of an array run: certified when its kernel left a
-    verdict, else (the rtl machine ran, or the design has no
-    certificate) compared with the sequential ``oracle()``."""
+    verdict, else (the rtl machine ran) compared with the sequential
+    ``oracle()``."""
     if certified is not None:
         return _certified(rec, method, optimum, solution, detail, certified)
     reference = oracle()
@@ -221,7 +224,7 @@ def solve(
     Validation depends on the path (``report.validation``): ``fast`` and
     ``auto`` array runs are certified from the kernel's own tables
     (``"certificate"``; ``reference`` is then the certified optimum),
-    ``rtl`` runs, fault runs and Fig. 4 are compared with an independent
+    ``rtl`` runs and fault runs are compared with an independent
     sequential solver (``"oracle"``), and sequential routes are the
     solver itself (``"sequential"``).  A failed check raises
     :class:`ValidationError`.  Serial problems over a semiring without
@@ -312,15 +315,88 @@ def _solve_dispatch(
     if fault_plan is not None:
         return _solve_faulty(problem, rec, prefer, sinks, fault_plan, recovery)
 
-    if isinstance(problem, NodeValueProblem):
-        return _solve_node_value(problem, rec, backend, sinks, strict)
-    if isinstance(problem, MultistageGraph):
-        return _solve_graph(problem, rec, prefer, backend, sinks, strict)
+    if isinstance(problem, (NodeValueProblem, MultistageGraph)):
+        return _solve_serial(problem, rec, prefer, backend, sinks, strict)
     if isinstance(problem, MatrixChainProblem):
         return _solve_chain(problem, rec, prefer, backend, sinks, strict)
     if isinstance(problem, NonserialObjective):
         return _solve_nonserial(problem, rec)
     raise TypeError(f"cannot solve object of type {type(problem).__name__}")
+
+
+#: The linear array of each array route, keyed by the route name (also
+#: the fault harness's design name): its class and its reports' method.
+_ARRAYS: dict[str, tuple[Any, str]] = {
+    route: (array, f"{array.design_name}-array")
+    for route, array in (
+        ("feedback", FeedbackSystolicArray),
+        ("pipelined", PipelinedMatrixStringArray),
+        ("broadcast", BroadcastMatrixStringArray),
+    )
+}
+
+
+def _design(problem: object, prefer: str | None) -> tuple[str, Any, str] | None:
+    """The array that serves ``problem`` under ``prefer``, as ``(route,
+    array class, method)``, or ``None`` when no array does:
+
+    * a uniform node-value problem → Fig. 5 (``"feedback"``);
+    * a graph that fits the linear arrays, or has uniform stages (then
+      run after :func:`_frame`) → Fig. 4 (``"broadcast"``) when
+      ``prefer`` asks for it, else Fig. 3 (``"pipelined"``);
+    * a matrix chain → the broadcast or else the systolic parenthesizer
+      (``"paren"``).
+
+    The route is the fault harness's design name.  :func:`_route` adds
+    the divide-and-conquer and sequential policy of serial problems.
+    """
+    if isinstance(problem, MatrixChainProblem):
+        engine = BroadcastParenthesizer if prefer == "broadcast" else SystolicParenthesizer
+        return "paren", engine, engine.design_name
+    if isinstance(problem, NodeValueProblem):
+        route = "feedback" if problem.is_uniform else None
+    elif isinstance(problem, MultistageGraph) and (
+        _graph_fits_linear_array(problem) or len(set(problem.stage_sizes)) == 1
+    ):
+        route = "broadcast" if prefer == "broadcast" else "pipelined"
+    else:
+        route = None
+    return None if route is None else (route, *_ARRAYS[route])
+
+
+def _graph_fits_linear_array(graph: MultistageGraph) -> bool:
+    """The Fig. 3/4 arrays need a single sink and uniform interior width."""
+    sizes = graph.stage_sizes
+    if sizes[-1] != 1 or len(sizes) < 3:
+        return False
+    interior = sizes[1:-1] if sizes[0] == 1 else sizes[:-1]
+    return len(set(interior)) == 1
+
+
+def _frame(graph: MultistageGraph) -> MultistageGraph:
+    """``graph`` as the Fig. 3/4 arrays run it: a uniform graph that does
+    not fit them is framed with zero-cost virtual terminals (the paper's
+    degenerate row/column-vector boundary)."""
+    return graph if _graph_fits_linear_array(graph) else add_virtual_terminals(graph)
+
+
+def _route(
+    problem: NodeValueProblem | MultistageGraph,
+    rec: Recommendation,
+    prefer: str | None,
+) -> str:
+    """The route ``solve()`` runs a serial problem on: ``"dnc"``,
+    ``"sequential"`` or the route of :func:`_design`.  Batch grouping
+    (:mod:`repro.exec.grouping`) asks the same question, so a batch and
+    a looped ``solve()`` put every problem on the same route.
+    ``prefer`` applies to edge-cost graphs only.
+    """
+    if isinstance(problem, NodeValueProblem):
+        prefer = None
+    if prefer == "dnc" or (prefer is None and rec.dp_class is DPClass.POLYADIC_SERIAL):
+        return "dnc"
+    design = _design(problem, prefer) if prefer in (None, "pipelined", "broadcast") else None
+    return "sequential" if design is None else design[0]
 
 
 def _solve_faulty(
@@ -331,60 +407,35 @@ def _solve_faulty(
     fault_plan: Any,
     recovery: str,
 ) -> SolveReport:
-    """Dispatch ``problem`` onto its array harness under fault injection."""
+    """Run ``problem`` under fault injection on the harness of its
+    :func:`_design`; the sequential oracle validates the result."""
     import warnings
 
     from .. import faults as flt
 
-    if isinstance(problem, NodeValueProblem) and problem.is_uniform:
-        harness: Any = flt.FeedbackHarness(problem)
-        ref = solve_node_value(problem).optimum
-        extract = lambda res: (res.optimum, res.path)  # noqa: E731
-        method = "fig5-feedback-array"
-    elif isinstance(problem, MultistageGraph):
-        target = problem
-        if not _graph_fits_linear_array(target):
-            if len(set(target.stage_sizes)) != 1:
-                raise TypeError(
-                    "fault injection on graphs needs a linear-array-shaped "
-                    f"instance; got stage sizes {target.stage_sizes}"
-                )
-            from ..graphs import add_virtual_terminals
-
-            target = add_virtual_terminals(target)
-        cls = (
-            flt.BroadcastHarness if prefer == "broadcast" else flt.PipelinedHarness
-        )
-        harness = cls(target.as_matrices(), target.semiring)
-        ref = solve_backward(problem).optimum
-        sr = target.semiring
-        extract = lambda res: (  # noqa: E731
-            float(sr.add_reduce(np.asarray(res.value), axis=None)),
-            res.value,
-        )
-        method = (
-            "fig4-broadcast-array" if prefer == "broadcast" else "fig3-pipelined-array"
-        )
-    elif isinstance(problem, MatrixChainProblem):
-        harness = flt.ParenHarness(
-            problem.dims,
-            BroadcastParenthesizer if prefer == "broadcast" else SystolicParenthesizer,
-        )
-        ref = float(solve_matrix_chain(problem.dims).cost)
-        extract = lambda res: (float(res.order.cost), res.order)  # noqa: E731
-        method = harness.array.design_name
-    else:
+    design = _design(problem, prefer)
+    if design is None:
+        shape = getattr(problem, "stage_sizes", "")
         raise TypeError(
             "fault injection is only supported on the systolic-array dispatch "
-            f"paths, not for {type(problem).__name__}"
+            f"paths, not for {type(problem).__name__} {shape}".rstrip()
         )
-
+    route, array, method = design
+    if route == "feedback":
+        harness: Any = flt.FeedbackHarness(problem)
+    elif route == "paren":
+        harness = flt.ParenHarness(problem.dims, array)
+    else:
+        target = _frame(problem)
+        cls = flt.BroadcastHarness if route == "broadcast" else flt.PipelinedHarness
+        harness = cls(list(target.costs), target.semiring)
     result, fault_report = flt.run_with_recovery(
         harness, fault_plan, policy=recovery, sinks=sinks
     )
     if result is None:
         raise flt.FaultDetected(fault_report.detections)
-    optimum, solution = extract(result)
+    optimum, solution = _answer(problem, result)
+    ref = _oracle(problem)
     validated = _validated(optimum, ref)
     if not validated and fault_report.outcome == "detected":
         warnings.warn(
@@ -407,28 +458,56 @@ def _solve_faulty(
     )
 
 
-def _solve_node_value(
-    problem: NodeValueProblem,
+def _oracle(problem: Any) -> float:
+    """The optimum of ``problem``'s independent sequential solver."""
+    if isinstance(problem, NodeValueProblem):
+        return solve_node_value(problem).optimum
+    if isinstance(problem, MatrixChainProblem):
+        return float(solve_matrix_chain(problem.dims).cost)
+    return solve_backward(problem).optimum
+
+
+def _answer(problem: Any, result: Any) -> tuple[float, Any]:
+    """An array result's optimum and solution: the Fig. 5 traced path,
+    the parenthesization's order, or the Fig. 3/4 source-cost vector."""
+    if isinstance(problem, NodeValueProblem):
+        return result.optimum, result.path
+    if isinstance(problem, MatrixChainProblem):
+        return float(result.order.cost), result.order
+    sr = problem.semiring
+    return float(sr.add_reduce(np.asarray(result.value), axis=None)), result.value
+
+
+def _solve_serial(
+    problem: NodeValueProblem | MultistageGraph,
     rec: Recommendation,
-    backend: str = "rtl",
-    sinks: tuple = (),
-    strict: bool = False,
+    prefer: str | None,
+    backend: str,
+    sinks: tuple,
+    strict: bool,
 ) -> SolveReport:
     require_argreduce(problem.semiring)
-    route = _route(problem, rec, None)
-    if route == "feedback":
-        res = FeedbackSystolicArray(problem.semiring).run(
-            problem, backend=backend, sinks=sinks, strict=strict
-        )
-        return _checked(
-            rec, "fig5-feedback-array", res.optimum, res.path, res, res.certified,
-            lambda: solve_node_value(problem).optimum,
-        )
+    route = _route(problem, rec, prefer)
+    oracle = lambda: _oracle(problem)  # noqa: E731
+    node = isinstance(problem, NodeValueProblem)
     if route == "dnc":
-        return _solve_dnc(
-            problem.to_graph(), rec, backend, lambda: solve_node_value(problem).optimum
-        )
-    return _sequential(rec, solve_node_value(problem))
+        return _solve_dnc(problem.to_graph() if node else problem, rec, backend, oracle)
+    if route == "sequential":
+        return _sequential(rec, (solve_node_value if node else solve_backward)(problem))
+    cls, method = _ARRAYS[route]
+    array = cls(problem.semiring)
+    kw = {"backend": backend, "sinks": sinks, "strict": strict}
+    if node:
+        res = array.run(problem, **kw)
+    else:
+        target = _frame(problem)
+        if route == "broadcast" and target.is_single_source_sink:
+            # The Fig. 4 ARG path registers hand back a traced optimal path.
+            path, res = array.run_graph_with_path(target, **kw)
+            return _checked(rec, method, path.cost, path, res, res.certified, oracle)
+        res = array.run_graph(target, **kw)
+    optimum, solution = _answer(problem, res)
+    return _checked(rec, method, optimum, solution, res, res.certified, oracle)
 
 
 def _sequential(rec: Recommendation, ref: Any) -> SolveReport:
@@ -444,95 +523,6 @@ def _sequential(rec: Recommendation, ref: Any) -> SolveReport:
         detail=ref,
         recommendation=rec,
         validation="sequential",
-    )
-
-
-def _graph_fits_linear_array(graph: MultistageGraph) -> bool:
-    """The Fig. 3/4 arrays need a single sink and uniform interior width."""
-    sizes = graph.stage_sizes
-    if sizes[-1] != 1 or len(sizes) < 3:
-        return False
-    interior = sizes[1:-1] if sizes[0] == 1 else sizes[:-1]
-    return len(set(interior)) == 1
-
-
-def _route(
-    problem: NodeValueProblem | MultistageGraph,
-    rec: Recommendation,
-    prefer: str | None,
-) -> str:
-    """The architecture ``solve()`` runs a serial problem on.
-
-    One of ``"feedback"`` (Fig. 5), ``"pipelined"`` (Fig. 3),
-    ``"broadcast"`` (Fig. 4), ``"dnc"`` or ``"sequential"``.  Batch
-    grouping (:mod:`repro.exec.grouping`) asks the same question, so a
-    batch and a looped ``solve()`` put every problem on the same route.
-    ``prefer`` applies to edge-cost graphs only.  Graphs that are not
-    linear-array-shaped but have uniform stages run on the arrays after
-    framing with zero-cost virtual terminals.
-    """
-    if isinstance(problem, NodeValueProblem):
-        if rec.dp_class is DPClass.POLYADIC_SERIAL:
-            return "dnc"
-        return "feedback" if problem.is_uniform else "sequential"
-    method = prefer
-    if method is None:
-        method = "dnc" if rec.dp_class is DPClass.POLYADIC_SERIAL else "pipelined"
-    if method == "dnc":
-        return method
-    if method in ("pipelined", "broadcast") and (
-        _graph_fits_linear_array(problem) or len(set(problem.stage_sizes)) == 1
-    ):
-        return method
-    return "sequential"
-
-
-def _solve_graph(
-    graph: MultistageGraph,
-    rec: Recommendation,
-    prefer: str | None,
-    backend: str = "rtl",
-    sinks: tuple = (),
-    strict: bool = False,
-) -> SolveReport:
-    require_argreduce(graph.semiring)
-    method = _route(graph, rec, prefer)
-    oracle = lambda: solve_backward(graph).optimum  # noqa: E731
-    if method == "dnc":
-        return _solve_dnc(graph, rec, backend, oracle)
-    if method == "sequential":
-        return _sequential(rec, solve_backward(graph))
-    array: Any = (
-        PipelinedMatrixStringArray(graph.semiring)
-        if method == "pipelined"
-        else BroadcastMatrixStringArray(graph.semiring)
-    )
-    target = graph
-    if not _graph_fits_linear_array(graph):
-        # Uniform multi-source/sink graphs run after framing with
-        # zero-cost virtual terminals (the paper's degenerate
-        # row/column-vector boundary).
-        from ..graphs import add_virtual_terminals
-
-        target = add_virtual_terminals(graph)
-    # Fig. 4 has no certificate, so it keeps the oracle on every backend.
-    if method == "broadcast" and target.is_single_source_sink:
-        # The Fig. 4 ARG path registers let the dispatcher hand back
-        # a traced optimal path instead of only the cost.
-        path, res = array.run_graph_with_path(
-            target, backend=backend, sinks=sinks, strict=strict
-        )
-        return _checked(rec, "fig4-broadcast-array", path.cost, path, res, None, oracle)
-    res = array.run_graph(target, backend=backend, sinks=sinks, strict=strict)
-    optimum = float(graph.semiring.add_reduce(np.asarray(res.value), axis=None))
-    return _checked(
-        rec,
-        f"fig{'3-pipelined' if method == 'pipelined' else '4-broadcast'}-array",
-        optimum,
-        res.value,
-        res,
-        res.certified if method == "pipelined" else None,
-        oracle,
     )
 
 
@@ -596,23 +586,23 @@ def _solve_chain(
     sinks: tuple = (),
     strict: bool = False,
 ) -> SolveReport:
-    engine: Any = (
-        BroadcastParenthesizer() if prefer == "broadcast" else SystolicParenthesizer()
-    )
-    run = engine.run(problem.dims, backend=backend, sinks=sinks, strict=strict)
-    cost = float(run.order.cost)
+    design = _design(problem, prefer)
+    assert design is not None  # every chain has a parenthesizer
+    _, engine, method = design
+    run = engine().run(problem.dims, backend=backend, sinks=sinks, strict=strict)
+    cost, order = _answer(problem, run)
     if run.certified is None:
-        reference = float(solve_matrix_chain(problem.dims).cost)
+        reference = _oracle(problem)
         validated, validation = cost == reference, "oracle"
     else:
         reference, validated, validation = cost, run.certified, "certificate"
     return SolveReport(
         dp_class=rec.dp_class,
-        method=engine.design_name,
+        method=method,
         optimum=cost,
         reference=reference,
         validated=validated,
-        solution=run.order,
+        solution=order,
         detail=run,
         recommendation=rec,
         validation=validation,

@@ -19,11 +19,12 @@ path and closed-form counters included (the cross-backend fuzz suite
 asserts exact equality).  This module holds only the plumbing around
 the kernels: a group is prepared once into a *payload* (a plain dict of
 stacked ``ndarray``s plus the semiring), the payload runs through its
-kernel, and each batch row becomes one report.  Each kernel certifies
-its own stacked tables (:mod:`repro.dp.certificate`), so every row is
-validated by the same check as a ``solve(backend="fast")`` call, row by
-row: ``validation`` is ``"certificate"`` and ``reference`` the certified
-optimum.
+kernel, and each batch row becomes one report.  Framing, method names
+and answers are ``solve()``'s own (:mod:`repro.core.solver`).  Each
+kernel certifies its own stacked tables (:mod:`repro.dp.certificate`),
+so every row is validated by the same check as a
+``solve(backend="fast")`` call, row by row: ``validation`` is
+``"certificate"`` and ``reference`` the certified optimum.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Any
 
 import numpy as np
 
-from ..core.solver import SolveReport, _certified, _graph_fits_linear_array
+from ..core.solver import _ARRAYS, SolveReport, _answer, _certified, _frame
 from ..dp.certificate import require_argreduce
-from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
+from ..graphs import MultistageGraph, NodeValueProblem
 from ..systolic.feedback_array import _fast_kernel as feedback_kernel
 from ..systolic.pipelined_array import _fast_kernel as pipelined_kernel
 from .grouping import Group
@@ -63,18 +64,16 @@ def _prepare_feedback(group: Group) -> dict[str, Any]:
     return {
         "kind": "feedback",
         "semiring": first.semiring,
-        "n_stages": first.num_stages,
-        "m": first.stage_sizes[0],
         "layers": layers,  # (N-1, B, m, m)
         "recommendation": group.recommendation,
+        "problem": first,
     }
 
 
 def _prepare_pipelined(group: Group) -> dict[str, Any]:
     problems: list[MultistageGraph] = group.problems
     first = problems[0]
-    framed = not _graph_fits_linear_array(first)
-    targets = [add_virtual_terminals(g) if framed else g for g in problems]
+    targets = [_frame(g) for g in problems]
     num_layers = targets[0].num_layers
     mats = [
         np.stack([np.asarray(t.costs[k]) for t in targets])
@@ -85,6 +84,7 @@ def _prepare_pipelined(group: Group) -> dict[str, Any]:
         "semiring": first.semiring,
         "mats": mats,  # list of (B, rows, cols); last is the (B, m, 1) sink column
         "recommendation": group.recommendation,
+        "problem": first,
     }
 
 
@@ -92,41 +92,25 @@ def _prepare_pipelined(group: Group) -> dict[str, Any]:
 # Payload execution
 # ----------------------------------------------------------------------
 def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
-    """Execute one payload, returning per-instance solve reports in order."""
-    kind = payload["kind"]
+    """Execute one payload, returning per-instance solve reports in order.
+
+    Each row is named for the group's array and answered as
+    ``solve()`` answers that array's run; any member stands for the
+    group, since all share the route.
+    """
+    kind, sr = payload["kind"], payload["semiring"]
+    require_argreduce(sr)
     if kind == "feedback":
-        return _run_feedback(payload)
-    if kind == "pipelined":
-        return _run_pipelined(payload)
-    raise ValueError(f"unknown payload kind {kind!r}")
-
-
-def _run_feedback(payload: dict[str, Any]) -> list[SolveReport]:
-    sr = payload["semiring"]
-    require_argreduce(sr)
-    results = feedback_kernel(sr, sr.asarray(payload["layers"]))
-    rec = payload["recommendation"]
+        results = feedback_kernel(sr, sr.asarray(payload["layers"]))
+    elif kind == "pipelined":
+        mats = [sr.asarray(a) for a in payload["mats"]]
+        # As ``_normalize_string``: the last operand is the sink column.
+        results = pipelined_kernel(sr, mats[:-1], mats[-1][..., 0])
+    else:
+        raise ValueError(f"unknown payload kind {kind!r}")
+    rec, problem = payload["recommendation"], payload["problem"]
+    method = _ARRAYS[kind][1]
     return [
-        _certified(rec, "fig5-feedback-array", res.optimum, res.path, res, res.certified)
-        for res in results
-    ]
-
-
-def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
-    sr = payload["semiring"]
-    require_argreduce(sr)
-    mats = [sr.asarray(a) for a in payload["mats"]]
-    # As ``_normalize_string``: the last operand is the sink column.
-    results = pipelined_kernel(sr, mats[:-1], mats[-1][..., 0])
-    rec = payload["recommendation"]
-    return [
-        _certified(
-            rec,
-            "fig3-pipelined-array",
-            float(sr.add_reduce(np.asarray(res.value), axis=None)),
-            res.value,
-            res,
-            res.certified,
-        )
+        _certified(rec, method, *_answer(problem, res), res, res.certified)
         for res in results
     ]

@@ -18,10 +18,11 @@ scalar result in ``P₁`` while the bus carries the fed-back vector, as in
 the paper's last three example iterations.
 
 The RTL backend runs on :class:`~repro.systolic.fabric.SystolicMachine`
-and publishes ``op``/``broadcast``/``io`` events on its trace bus; the
-fast backend evaluates the same string with whole-array semiring
-reductions (including the ARG decision registers, via
-``add_argreduce``) and reports the schedule's closed-form counters.
+and publishes ``op``/``broadcast``/``io`` events on its trace bus.  Only
+it models how data moves, so the fast backend is the certified Fig. 3
+mat-vec chain (:mod:`repro.systolic.pipelined_array`), plus one
+arg-reduction per phase for the ARG registers, with this schedule's
+closed-form counters.  Costs are checked once at entry, as on Fig. 3.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .._readonly import read_only
-from ..graphs import MultistageGraph
+from ..dp.certificate import certify_backward
+from ..graphs import MultistageGraph, StagePath, check_cost_layers
 from ..semiring import MIN_PLUS, Semiring
-from ..semiring.matrix import matvec
+from . import pipelined_array
 from .fabric import (
     BackendMismatch,
     ProcessingElement,
@@ -70,9 +72,75 @@ class BroadcastArrayResult:
     #: phase, accumulators as latched at its end), captured when
     #: ``observe`` was requested — the ABFT detector inputs.
     phase_values: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    #: The fast kernel's certificate verdict, covering the decisions
+    #: when tracked; ``None`` when the rtl machine ran, or the semiring
+    #: has no arg-reduction.
+    certified: bool | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         read_only((self.value, self.decisions, self.phase_values))
+
+
+def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
+    """The schedule's closed-form counters for ``num_phases`` operands
+    whose leftmost has ``rows`` rows: ``m`` iterations per phase and no
+    skew; P1 alone serves a leftmost row vector."""
+    serial_ops = (num_phases - 1) * m * m + rows * m
+    row_vector = rows == 1 and m > 1
+    ops = [(num_phases - row_vector) * m] * m
+    ops[0] += row_vector * m
+    return RunReport(
+        design=BroadcastMatrixStringArray.design_name,
+        num_pes=m,
+        iterations=num_phases * m,
+        wall_ticks=num_phases * m,
+        pe_busy_ticks=tuple(ops),
+        pe_op_counts=tuple(ops),
+        serial_ops=serial_ops,
+        input_words=m + serial_ops,
+        output_words=rows,
+        broadcast_words=num_phases * m,
+        backend="fast",
+    )
+
+
+def _arg_registers(sr: Semiring, cand: np.ndarray) -> np.ndarray:
+    """A phase's ARG registers from its candidates ``cand[i, j] = M[i, j] ⊗ x_j``:
+    per PE, the first broadcast index ``j`` attaining the accumulator."""
+    return np.asarray(sr.add_argreduce(cand, axis=1), dtype=np.intp)
+
+
+def _fast_kernel(
+    sr: Semiring, mats: list[np.ndarray], vec: np.ndarray, track_decisions: bool
+) -> BroadcastArrayResult:
+    """The fast backend: Fig. 3's mat-vec chain, certified by
+    :func:`~repro.dp.certificate.certify_backward`.  With
+    ``track_decisions``, each phase adds one raw ⊗ and one arg-reduction
+    over the stage vector the chain kept, and the verdict also requires
+    every decision to attain its stage value (the attainment half of
+    :func:`~repro.dp.certificate.certify_forward`)."""
+    chain = pipelined_array._matvec_chain(sr, mats, vec)
+    certified = None
+    if sr.add_argreduce is not None:
+        certified = bool(certify_backward(sr, mats, vec, chain))
+    decisions: list[np.ndarray] = []
+    if track_decisions:
+        for k in reversed(range(len(mats))):  # phase order: sink side first
+            cand = sr.raw_mul(mats[k], chain[k + 1])
+            arg = _arg_registers(sr, cand)
+            attained = np.take_along_axis(cand, arg[:, None], axis=1)[:, 0] == chain[k]
+            certified = bool(certified and np.all(attained))
+            decisions.append(arg)
+    rows, m = mats[0].shape[0], vec.size
+    value = chain[0]
+    if rows == 1 and m > 1:
+        value = sr.asarray(float(value[0]))
+    return BroadcastArrayResult(
+        value=value,
+        report=_fast_report(len(mats), rows, m),
+        decisions=tuple(decisions) if track_decisions else None,
+        certified=certified,
+    )
 
 
 class BroadcastMatrixStringArray:
@@ -114,7 +182,34 @@ class BroadcastMatrixStringArray:
         ``sinks`` to the machine's event bus.  ``strict`` enables the
         hazard sanitizer (:mod:`repro.analysis.hazards`), which is also
         cycle-level and forces RTL.
+
+        The operands are checked once here
+        (:func:`~repro.graphs.check_cost_layers`): NaN, the wrong
+        infinity or an overflowing path sum raises ``GraphError``.
         """
+        mats, vec, m = _normalize_string(self.sr, matrices)
+        check_cost_layers(self.sr, [*mats, vec], "matrices contain")
+        return self._run_string(
+            mats, vec, m, track_decisions=track_decisions, record_trace=record_trace,
+            backend=backend, sinks=sinks, injector=injector, observe=observe,
+            strict=strict,
+        )
+
+    def _run_string(
+        self,
+        mats: list[np.ndarray],
+        vec: np.ndarray,
+        m: int,
+        *,
+        track_decisions: bool = False,
+        record_trace: bool = False,
+        backend: str | None = None,
+        sinks: Iterable[Callable[[TraceEvent], None]] = (),
+        injector: object = None,
+        observe: bool | None = None,
+        strict: bool = False,
+    ) -> BroadcastArrayResult:
+        """:meth:`run` on a normalized string whose costs are checked."""
         sr = self.sr
         resolved = normalize_backend(backend, self.backend)
         sinks = tuple(sinks)
@@ -124,7 +219,6 @@ class BroadcastMatrixStringArray:
             observe = injector is not None
         if track_decisions and sr.add_argreduce is None and resolved != "rtl":
             resolved = "rtl"  # fast decisions need an argreduce; RTL tracks inline
-        mats, vec, m = _normalize_string(sr, matrices)
         work = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
         return run_with_backend(
             resolved,
@@ -140,7 +234,7 @@ class BroadcastMatrixStringArray:
                 observe=bool(observe),
                 strict=strict,
             ),
-            fast=lambda: self._run_fast(mats, vec, m, track_decisions=track_decisions),
+            fast=lambda: _fast_kernel(sr, mats, vec, track_decisions),
             validate=self._validate,
             design=self.design_name,
         )
@@ -276,71 +370,6 @@ class BroadcastMatrixStringArray:
             phase_values=tuple(phase_values),
         )
 
-    # ------------------------------------------------------------------
-    # Fast backend
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self,
-        mats: list[np.ndarray],
-        vec: np.ndarray,
-        m: int,
-        *,
-        track_decisions: bool = False,
-    ) -> BroadcastArrayResult:
-        """Whole-array evaluation with vectorized decision tracking.
-
-        The per-PE ARG register implements "first broadcast index that
-        achieves the final accumulator value", which for a whole phase is
-        exactly ``add_argreduce`` along the broadcast axis.
-        """
-        sr = self.sr
-        num_phases = len(mats)
-        x = np.asarray(vec)
-        serial_ops = 0
-        scalar_result: float | None = None
-        decisions: list[np.ndarray] = []
-        ops = [0] * m
-
-        for phase in range(num_phases):
-            mat = mats[num_phases - 1 - phase]
-            is_row_vector = mat.shape[0] == 1 and m > 1
-            serial_ops += int(mat.shape[0]) * int(mat.shape[1])
-            if is_row_vector and phase != num_phases - 1:
-                raise SystolicError("row-vector operand must be leftmost")
-            if track_decisions:
-                prod = sr.mul(mat, x[None, :])
-                decisions.append(np.asarray(sr.add_argreduce(prod, axis=1), dtype=np.intp))
-            y = matvec(sr, mat, x)
-            if is_row_vector:
-                scalar_result = float(y[0])
-                ops[0] += m
-            else:
-                x = y
-                for i in range(m):
-                    ops[i] += m
-
-        value = (
-            sr.asarray(scalar_result) if scalar_result is not None else sr.asarray(x)
-        )
-        report = RunReport(
-            design=self.design_name,
-            num_pes=m,
-            iterations=num_phases * m,
-            wall_ticks=num_phases * m,
-            pe_busy_ticks=tuple(ops),
-            pe_op_counts=tuple(ops),
-            serial_ops=serial_ops,
-            input_words=m + serial_ops,
-            output_words=int(np.asarray(value).size),
-            broadcast_words=num_phases * m,
-            backend="fast",
-        )
-        return BroadcastArrayResult(
-            value=value,
-            report=report,
-            decisions=tuple(decisions) if track_decisions else None,
-        )
-
     def _accumulate(
         self, pe: ProcessingElement, m_elem: float, x_j: float, j: int, track: bool
     ) -> None:
@@ -364,13 +393,24 @@ class BroadcastMatrixStringArray:
         observe: bool | None = None,
         strict: bool = False,
     ) -> BroadcastArrayResult:
-        """Evaluate a single-sink multistage graph (backward formulation)."""
-        if graph.semiring.name != self.sr.name:
-            raise SystolicError("graph and array use different semirings")
-        return self.run(
-            graph.as_matrices(), backend=backend, sinks=sinks,
+        """Evaluate a single-sink multistage graph (backward formulation).
+
+        The graph's costs are read-only and were checked when it was
+        built, so they go to the array as they are: no copy and no
+        second check.
+        """
+        return self._run_string(
+            *self._graph_string(graph), backend=backend, sinks=sinks,
             injector=injector, observe=observe, strict=strict,
         )
+
+    def _graph_string(
+        self, graph: MultistageGraph
+    ) -> tuple[list[np.ndarray], np.ndarray, int]:
+        """``graph``'s cost string, normalized for :meth:`_run_string`."""
+        if graph.semiring.name != self.sr.name:
+            raise SystolicError("graph and array use different semirings")
+        return _normalize_string(self.sr, graph.costs)
 
     def run_graph_with_path(
         self,
@@ -391,13 +431,11 @@ class BroadcastMatrixStringArray:
         is the lone sink).  Returns ``(StagePath, BroadcastArrayResult)``;
         tests validate the path re-costs to the array's optimum.
         """
-        from ..graphs import StagePath
-
         if not graph.is_single_source_sink:
             raise SystolicError("path traceback needs a single-source/sink graph")
-        res = self.run(
-            graph.as_matrices(), track_decisions=True, backend=backend, sinks=sinks,
-            injector=injector, observe=observe, strict=strict,
+        res = self._run_string(
+            *self._graph_string(graph), track_decisions=True, backend=backend,
+            sinks=sinks, injector=injector, observe=observe, strict=strict,
         )
         assert res.decisions is not None
         n_layers = graph.num_layers

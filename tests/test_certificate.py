@@ -29,7 +29,12 @@ from repro.graphs import (
     uniform_multistage,
 )
 from repro.semiring import ALL_SEMIRINGS, PLUS_TIMES
-from repro.systolic import feedback_array, parenthesization, pipelined_array
+from repro.systolic import (
+    broadcast_array,
+    feedback_array,
+    parenthesization,
+    pipelined_array,
+)
 
 SELECTIVE = [sr for sr in ALL_SEMIRINGS if sr.add_argreduce is not None]
 
@@ -63,7 +68,7 @@ def _patch_sweep(monkeypatch, corrupt):
 
 
 def _patch_chain(monkeypatch, corrupt):
-    """Replace the mat-vec chain (Fig. 3 kernel and dnc route) by
+    """Replace the mat-vec chain (Fig. 3 and Fig. 4 kernel, dnc route) by
     ``corrupt(real_chain, sr, mats, vec)``."""
     real = pipelined_array._matvec_chain
 
@@ -106,6 +111,26 @@ def _shift_stages(real, sr, mats, vec):
     return real(sr, mats[:1] + mats[2:-1] + mats[1:2] + mats[-1:], vec)
 
 
+def _patch_registers(monkeypatch, corrupt):
+    """Run Fig. 4's ARG arg-reduction, then ``corrupt(cand, arg)`` in place
+    on the first phase it serves."""
+    real = broadcast_array._arg_registers
+    phases = []
+
+    def registers(sr, cand):
+        arg = real(sr, cand).copy()
+        if not phases:
+            corrupt(cand, arg)
+        phases.append(arg)
+        return arg
+
+    monkeypatch.setattr(broadcast_array, "_arg_registers", registers)
+
+
+def _wrong_decision(cand, arg):
+    arg[0] = (arg[0] + 1) % cand.shape[1]
+
+
 def _wrong_cost(r, M, S):
     M[1, r.size - 1] += 1
 
@@ -133,6 +158,16 @@ MUTATIONS = {
     ),
     "dnc-node-value-stage-shifted": (
         _patch_chain, _shift_stages, lambda rng: _node_value(rng, 20, 3), None
+    ),
+    "fig4-skewed-value": (
+        _patch_chain, _skew_vector, lambda rng: single_source_sink(rng, 6, 4), "broadcast"
+    ),
+    "fig4-stage-shifted": (
+        _patch_chain, _shift_stages, lambda rng: single_source_sink(rng, 6, 4), "broadcast"
+    ),
+    "fig4-wrong-decision": (
+        _patch_registers, _wrong_decision, lambda rng: single_source_sink(rng, 6, 4),
+        "broadcast",
     ),
     "paren-wrong-cost": (_patch_tables, _wrong_cost, _chain, None),
     "paren-wrong-split": (_patch_tables, _wrong_split, _chain, None),
@@ -275,7 +310,6 @@ def test_semiring_without_arg_reduction_raises_value_error(rng):
 # SolveReport.validation on every route × backend × entry point
 # ----------------------------------------------------------------------
 ARRAY = {"rtl": "oracle", "fast": "certificate", "auto": "certificate"}
-ORACLE = dict.fromkeys(ARRAY, "oracle")
 SEQUENTIAL = dict.fromkeys(ARRAY, "sequential")
 
 #: route -> (problem factory, prefer, expected validation per backend)
@@ -291,9 +325,9 @@ ROUTES = {
         SEQUENTIAL,
     ),
     "graph-pipelined": (lambda rng: uniform_multistage(rng, 4, 3), None, ARRAY),
-    "graph-broadcast": (lambda rng: single_source_sink(rng, 3, 3), "broadcast", ORACLE),
+    "graph-broadcast": (lambda rng: single_source_sink(rng, 3, 3), "broadcast", ARRAY),
     "graph-broadcast-framed": (
-        lambda rng: uniform_multistage(rng, 4, 3), "broadcast", ORACLE
+        lambda rng: uniform_multistage(rng, 4, 3), "broadcast", ARRAY
     ),
     "graph-dnc": (lambda rng: uniform_multistage(rng, 4, 3), "dnc", ARRAY),
     "graph-sequential": (

@@ -26,9 +26,12 @@ from repro.graphs import (
 )
 from repro.io import graph_from_dict, load_graph
 from repro.semiring import MAX_PLUS, MIN_PLUS, standard
-from repro.systolic import PipelinedMatrixStringArray
+from repro.systolic import BroadcastMatrixStringArray, PipelinedMatrixStringArray
 
 inf = np.inf
+
+#: Both matrix-string arrays check their operands once at entry.
+STRING_ARRAYS = (PipelinedMatrixStringArray, BroadcastMatrixStringArray)
 
 #: Without the overflow rule the unguarded forward sweep returns NaN here:
 #: -1e308 + -1e308 overflows to -inf, which then meets the +inf edge.
@@ -65,14 +68,16 @@ class TestWrongInfinity:
     def test_pipelined_array_raw_matrices(self):
         mats = [np.array([[1.0, 2.0]]), np.array([[0.0, -inf], [1.0, 1.0]]),
                 np.array([[0.0], [1.0]])]
-        for backend in ("rtl", "fast"):
-            with pytest.raises(GraphError, match="wrong infinity"):
-                PipelinedMatrixStringArray().run(mats, backend=backend)
+        for array in STRING_ARRAYS:
+            for backend in ("rtl", "fast"):
+                with pytest.raises(GraphError, match="wrong infinity"):
+                    array().run(mats, backend=backend)
 
     def test_pipelined_array_raw_sink_vector(self):
         mats = [np.array([[1.0, 2.0]]), np.array([[0.0], [-inf]])]
-        with pytest.raises(GraphError, match="layer 1"):
-            PipelinedMatrixStringArray().run(mats)
+        for array in STRING_ARRAYS:
+            with pytest.raises(GraphError, match="layer 1"):
+                array().run(mats)
 
     def test_json_loading(self):
         text = '{"kind": "multistage_graph", "semiring": "min-plus", ' \
@@ -113,15 +118,18 @@ class TestOverflow:
 
     def test_pipelined_array_raw_matrices(self):
         mats = [np.asarray(c) for c in OVERFLOW_COSTS]
-        with pytest.raises(GraphError, match="overflow"):
-            PipelinedMatrixStringArray().run(mats, backend="fast")
+        for array in STRING_ARRAYS:
+            with pytest.raises(GraphError, match="overflow"):
+                array().run(mats, backend="fast")
 
 
 class TestNanMessages:
     def test_nan_in_raw_matrices(self):
         mats = [np.array([[1.0, np.nan]]), np.array([[0.0], [1.0]])]
-        with pytest.raises(GraphError, match="NaN in layer 0"):
-            PipelinedMatrixStringArray().run(mats)
+        for array in STRING_ARRAYS:
+            for backend in ("rtl", "fast"):
+                with pytest.raises(GraphError, match="NaN in layer 0"):
+                    array().run(mats, backend=backend)
 
 
 def _random_graph(rng: np.random.Generator, semiring) -> MultistageGraph:
@@ -197,7 +205,10 @@ def test_solves_make_no_guarded_mul_call():
     assert _guard_calls(lambda: reports.append(solve(fig3, backend="rtl"))) == 0
     assert _guard_calls(lambda: reports.append(solve(fig5, backend="rtl"))) == 0
     assert _guard_calls(lambda: reports.append(solve(dnc, backend="fast"))) == 0
+    fig4 = lambda: reports.append(solve(fig3, prefer="broadcast", backend="fast"))  # noqa: E731
+    assert _guard_calls(fig4) == 0
     methods = [r.method for r in reports]
     assert methods[0].startswith("fig3") and methods[1].startswith("fig5")
     assert methods[2].startswith("divide-and-conquer")
+    assert methods[3].startswith("fig4") and reports[3].validation == "certificate"
     assert all(r.validated for r in reports)

@@ -107,5 +107,12 @@ class TestFailurePaths:
             domains={"a": np.array([0.0, 1.0]), "b": np.array([0.0, 1.0])},
             terms=((("a", "b"), lambda a, b: a + b),),
         )
-        with pytest.raises(TypeError, match="fault injection"):
-            solve(objective, fault_plan=FaultPlan())
+        # So are serial problems whose uneven stages no array takes.
+        ragged = random_multistage(np.random.default_rng(2), [1, 3, 2, 1])
+        uneven = NodeValueProblem(
+            values=([0.0, 1.0], [0.0, 1.0, 2.0], [0.0]),
+            edge_cost=lambda a, b: np.abs(a - b),
+        )
+        for problem in (objective, ragged, uneven):
+            with pytest.raises(TypeError, match="fault injection"):
+                solve(problem, fault_plan=FaultPlan())

@@ -192,20 +192,24 @@ def test_fuzz_pipelined_backends_bit_identical(seed, n_layers, m, sr_idx, leftmo
     n_layers=st.integers(min_value=2, max_value=6),
     m=st.integers(min_value=1, max_value=5),
     sr_idx=st.integers(min_value=0, max_value=2),
+    leftmost_row=st.booleans(),
 )
 @settings(max_examples=60, deadline=None, derandomize=True, print_blob=True)
-def test_fuzz_broadcast_backends_bit_identical(seed, n_layers, m, sr_idx):
+def test_fuzz_broadcast_backends_bit_identical(seed, n_layers, m, sr_idx, leftmost_row):
     note(f"instance seed={seed}")
     rng = np.random.default_rng(seed)
     sr = CROSS_SEMIRINGS[sr_idx]
-    mats = _int_matrix_string(rng, n_layers, m, leftmost_row=False)
+    mats = _int_matrix_string(rng, n_layers, m, leftmost_row=leftmost_row)
     arr = BroadcastMatrixStringArray(sr)
     track = sr.add_argreduce is not None
     rtl = arr.run(mats, track_decisions=track, backend="rtl")
     fast = arr.run(mats, track_decisions=track, backend="fast")
     assert np.array_equal(np.asarray(rtl.value), np.asarray(fast.value))
     _assert_reports_match(rtl.report, fast.report, (sr.name, n_layers, m))
+    assert dataclasses.replace(rtl.report, backend="fast") == fast.report
     if track:
+        # The chain's certificate covers the arg-reduced decisions too.
+        assert fast.certified is True
         assert len(rtl.decisions) == len(fast.decisions)
         for d_rtl, d_fast in zip(rtl.decisions, fast.decisions):
             assert np.array_equal(d_rtl, d_fast)
