@@ -389,13 +389,14 @@ def _route(
     ``"sequential"`` or the route of :func:`_design`.  Batch grouping
     (:mod:`repro.exec.grouping`) asks the same question, so a batch and
     a looped ``solve()`` put every problem on the same route.
-    ``prefer`` applies to edge-cost graphs only.
+    ``prefer`` applies to edge-cost graphs only; one that names no
+    design of the problem's class (``"systolic"``) is ignored.
     """
-    if isinstance(problem, NodeValueProblem):
+    if isinstance(problem, NodeValueProblem) or prefer == "systolic":
         prefer = None
     if prefer == "dnc" or (prefer is None and rec.dp_class is DPClass.POLYADIC_SERIAL):
         return "dnc"
-    design = _design(problem, prefer) if prefer in (None, "pipelined", "broadcast") else None
+    design = None if prefer == "sequential" else _design(problem, prefer)
     return "sequential" if design is None else design[0]
 
 

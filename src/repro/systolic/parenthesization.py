@@ -20,21 +20,23 @@ and OR-nodes are comparisons.  The paper gives two processor mappings:
   form ``T_p(N) = 2N``  (Proposition 3).  This is the planar design the
   paper identifies with Guibas–Kung–Thompson.
 
-Both simulators compute the *actual* DP tables step by step (validated
-against :func:`repro.dp.solve_matrix_chain`) while measuring schedule
-length, so Propositions 2 and 3 are checked on real executions, not just
-restated.
+Both mappings are one problem spec
+(:class:`~repro.systolic.triangular.MatrixChainSpec`) on the one rtl
+sweep every Section-6.2 array runs (:func:`repro.systolic.triangular._sweep`,
+one PE per OR-node on a :class:`~repro.systolic.fabric.SystolicMachine`),
+differing only in the transfer delay.  The sweep computes the *actual* DP
+tables step by step (validated against :func:`repro.dp.solve_matrix_chain`)
+while measuring schedule length, so Propositions 2 and 3 are checked on
+real executions, not just restated.
 
-The RTL backend drives the sweep on a
-:class:`~repro.systolic.fabric.SystolicMachine` (one PE per OR-node);
-the fast backend runs a vectorized per-diagonal DP — one NumPy
+The fast backend runs a vectorized per-diagonal DP — one NumPy
 expression and one ``argmin`` over every split of every same-span
 subproblem — certifies its table in one pass
 (:func:`~repro.dp.certificate.certify_interval`), and reads its schedule
 from a per-``(design, N)`` memo of per-span greedy runs
 (:func:`repro.systolic.triangular.greedy_completion`): all same-span
 subproblems share one alternative-availability multiset, so their
-completion steps coincide, and the closed-form counters match the RTL
+completion steps coincide, and the closed-form counters match the rtl
 sweep exactly.
 """
 
@@ -58,7 +60,7 @@ from .fabric import (
     normalize_backend,
     run_with_backend,
 )
-from .triangular import greedy_completion
+from .triangular import MatrixChainSpec, _sweep, greedy_completion
 
 __all__ = [
     "ParenthesizationRun",
@@ -227,15 +229,12 @@ def _fast_schedule(
 
 
 class _ParenthesizerBase:
-    """Shared step-driven engine for both processor mappings.
+    """Both processor mappings of eq. (6) on the shared Section-6.2 sweep.
 
     A subproblem ``(i, j)`` (1-based, ``j ≥ i``) owns a processor that, at
-    each step, folds up to ``alternatives_per_step`` *available*
-    alternatives into its running minimum.  Alternative ``k`` becomes
-    available at ``max(ready(i, k), ready(k+1, j))`` where ``ready`` is
-    mapping-specific (instant visibility on the broadcast buses; transfer
-    delays through dummy cells on the serialized design), and is consumed
-    at the first later step with spare capacity.
+    each step, folds up to ``alternatives_per_step`` *available* splits
+    ``k`` into its running minimum; a split becomes available
+    :meth:`_transfer_delay` steps after its later child completes.
 
     On cost ties between splits the RTL backend keeps the first split
     *folded* (earliest-available, then ascending ``k``) while the fast
@@ -315,11 +314,8 @@ class _ParenthesizerBase:
         observe: bool = False,
         strict: bool = False,
     ) -> ParenthesizationRun:
-        r = np.asarray(dims, dtype=np.int64)
-        split: dict[tuple[int, int], int] = {}
-        done = {(i, i): self.base_time for i in range(1, n + 1)}
-        alternatives = 0
-
+        spec = MatrixChainSpec(dims)
+        subs = sorted(spec.subproblems())  # PE order: ascending (i, j)
         # Both mappings let any OR-node consume any completed child:
         # the broadcast design via its multiple broadcast buses, the
         # serialized design via the Figure-8 dummy pass-through cells
@@ -332,122 +328,20 @@ class _ParenthesizerBase:
         for _ in range(self.base_time):  # leaves load during the base steps
             machine.end_tick()
         machine.read_input(len(dims), label="in:dims")
-
-        # Per-subproblem alternatives not yet folded, ascending split k.
-        pending: dict[tuple[int, int], list[int]] = {}
-        for span in range(2, n + 1):
-            for i in range(1, n - span + 2):
-                pending[(i, i + span - 1)] = list(range(i, i + span - 1))
-        machine.add_pes(len(pending))
-        pe_index = {key: idx for idx, key in enumerate(sorted(pending))}
-        # The OR-node's running minimum lives in a clocked register, so
-        # the data plane (costs) is faultable state; the scheduling
-        # scoreboard (`done`/`avail`/`wake`) is the control plane and is
-        # assumed fault-free.
-        for pe in machine.pes:
-            pe.reg("M", None)
-        serial_ops = sum(len(alts) for alts in pending.values())
-        bus = self._transfer_delay(2, 1) == 0  # broadcast mapping
-
-        def cell_value(key: tuple[int, int]) -> float:
-            """Latched cost of a subproblem; a never-written M reads ∞."""
-            i, j = key
-            if i == j:
-                return 0.0
-            v = machine.pes[pe_index[key]]["M"].value
-            return float("inf") if v is None else float(v)
-
-        # The scoreboard is event-driven: alternative k of (i, j) gets its
-        # availability step once both children are done, and the cell is
-        # scanned at the steps where some alternative may fold.  A scan
-        # that folds nothing has no visible effect, so skipping it keeps
-        # every fold, event and completion step of a full sweep.
-        avail: dict[tuple[int, int], dict[int, int]] = {key: {} for key in pending}
-        wake: dict[int, set[tuple[int, int]]] = {}
-        delay = self._transfer_delay
-
-        def arm(key: tuple[int, int], k: int) -> None:
-            """Alternative ``k`` of ``key`` has both children: time it."""
-            i, j = key
-            size = j - i + 1
-            at = max(
-                done[(i, k)] + delay(size, k - i + 1),
-                done[(k + 1, j)] + delay(size, j - k),
-            )
-            avail[key][k] = at
-            wake.setdefault(at + 1, set()).add(key)  # foldable once at <= step - 1
-
-        def completed(a: int, b: int) -> None:
-            """Cell (a, b) is done: arm every parent alternative it unblocks."""
-            for j in range(b + 1, n + 1):  # (a, b) as the left child, k = b
-                if (b + 1, j) in done:
-                    arm((a, j), b)
-            for i in range(1, a):  # (a, b) as the right child, k = a - 1
-                if (i, a - 1) in done:
-                    arm((i, b), a - 1)
-
-        for i in range(1, n + 1):
-            completed(i, i)
-
-        unresolved = len(pending)
-        step = self.base_time
-        # Availability is monotone, so sweeping steps forward and folding
-        # whatever became available is an exact event-driven simulation.
-        while unresolved:
-            step += 1
-            observed = machine.observed
-            for key in sorted(wake.pop(step, ())):
-                i, j = key
-                capacity = self.alternatives_per_step
-                known = avail[key]
-                remaining: list[int] = []
-                folded = 0
-                idx = pe_index[key]
-                pe = machine.pes[idx]
-                machine.enter_pe(idx)
-                staged = pe["M"].value  # running minimum latched so far
-                for k in pending[key]:
-                    at = known.get(k)
-                    if at is not None and at <= step - 1 and folded < capacity:
-                        cost = (
-                            cell_value((i, k))
-                            + cell_value((k + 1, j))
-                            + float(r[i - 1] * r[k] * r[j])
-                        )
-                        if staged is None or cost < staged:
-                            staged = cost
-                            split[key] = k
-                        folded += 1
-                        alternatives += 1
-                    else:
-                        remaining.append(k)
-                pending[key] = remaining
-                if folded:
-                    pe.count_op(folded)
-                    if observed:
-                        machine.emit("op", idx, f"m{i},{j}")
-                    pe["M"].set(staged)
-                machine.exit_pe()
-                if any(known.get(k, step) < step for k in remaining):
-                    # Capacity ran out with alternatives still foldable.
-                    wake.setdefault(step + 1, set()).add(key)
-                if not remaining and key in split:
-                    done[key] = step
-                    unresolved -= 1
-                    completed(i, j)
-                    if bus:
-                        machine.put_on_bus(1, label=f"bus:m{i},{j}")
-            machine.end_tick()
-            if step > 4 * n * n + 8:  # defensive: schedule must terminate
-                raise SystolicError(f"{self.design_name}: schedule did not converge")
-
+        values, done, choice, alternatives = _sweep(
+            machine, spec.leaves(), subs, size=spec.size, delay=self._transfer_delay,
+            capacity=self.alternatives_per_step, base_time=self.base_time,
+            label=lambda key: f"m{key[0]},{key[1]}",
+        )
         machine.write_output(1, label="out:cost")
-        final_cost = cell_value((1, n)) if n > 1 else 0.0
+        final_cost = values[(1, n)]
         if not np.isfinite(final_cost):
             raise SystolicError(
                 f"{self.design_name}: non-finite chain cost {final_cost!r} "
                 "(a cost register never latched a value)"
             )
+        # Alternative a of (i, j) is the split k = i + a.
+        split = {(i, j): i + a for (i, j), a in choice.items()}
         order = ChainOrder(
             dims=dims, expression=expression_from_splits(split, n), cost=int(final_cost)
         )
@@ -456,14 +350,12 @@ class _ParenthesizerBase:
             order=order,
             steps=goal_step,
             num_processors=n * (n - 1) // 2 if n > 1 else 1,
-            subproblem_completion=dict(done),
+            subproblem_completion=done,
             alternatives_evaluated=alternatives,
-            report=machine.finalize(iterations=goal_step, serial_ops=serial_ops),
+            report=machine.finalize(iterations=goal_step, serial_ops=alternatives),
             trace=machine.legacy_trace(),
             events=machine.trace_events(),
-            cost_table=(
-                {key: cell_value(key) for key in pe_index} if observe else None
-            ),
+            cost_table={key: values[key] for key, _alts in subs} if observe else None,
         )
 
     # ------------------------------------------------------------------

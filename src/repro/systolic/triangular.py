@@ -11,21 +11,19 @@ multiple-broadcast-bus design (results visible everywhere one step after
 completion) and the serialized planar systolic design (results hop one
 level per step through the Figure-8 dummy cells).
 
-This module factors the schedule engine out of the matrix-chain-specific
-:mod:`repro.systolic.parenthesization` into a *problem spec* interface,
-and provides specs for both families:
+Both families are *problem specs* over one rtl sweep (:func:`_sweep`),
+which the matrix-chain parenthesizers of
+:mod:`repro.systolic.parenthesization` run too:
 
-* :class:`MatrixChainSpec` — identical schedules to the original engine
-  (asserted by the tests): ``T_d(N) = N``, ``T_p(N) = 2N``.
+* :class:`MatrixChainSpec` — eq. (6): ``T_d(N) = N``, ``T_p(N) = 2N``.
 * :class:`ObstSpec` — optimal binary search trees; the analogous
   broadcast schedule is ``T_d(n) = n + 1`` for ``n`` keys (a size-``s``
   subproblem has ``s`` alternatives over children summing to ``s − 1``),
   which :func:`obst_t_d` evaluates and the benchmarks verify.
 
-The RTL backend drives the step sweep on a
-:class:`~repro.systolic.fabric.SystolicMachine` (one PE per OR-node,
-one tick per array step, ``op`` events on the trace bus).  The fast
-backend replaces the sweep with a single bottom-up pass — NumPy
+The sweep drives a :class:`~repro.systolic.fabric.SystolicMachine` (one
+PE per OR-node, one tick per array step, ``op`` events on the trace
+bus).  The fast backend replaces it with a single bottom-up pass — NumPy
 reductions over each subproblem's alternatives plus an event-driven
 greedy schedule (:func:`greedy_completion`) that yields the identical
 completion steps, because capacity-limited folding of unit-time
@@ -36,7 +34,7 @@ fold counts.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +42,7 @@ from ..dp.matrix_chain import _check_dims
 from ..dp.obst import _check_weights
 from .fabric import (
     BackendMismatch,
+    Register,
     RunReport,
     SystolicError,
     SystolicMachine,
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class Alternative:
+class Alternative(NamedTuple):
     """One AND-node: two child subproblems plus a local additive cost."""
 
     child_a: Hashable
@@ -157,7 +155,7 @@ class ObstSpec(TriangularSpec):
 
     def size(self, key: Hashable) -> int:
         i, j = key
-        return j - i + 2  # empty spans sit at level 1... leaves level 1
+        return j - i + 2  # span length + 1: an empty span has size 1
 
     def goal(self) -> Hashable:
         return (1, self.n) if self.n else (1, 0)
@@ -187,6 +185,127 @@ def greedy_completion(avail_times: Sequence[int], capacity: int) -> tuple[int, i
     return t, busy
 
 
+def _sweep(
+    machine: SystolicMachine,
+    leaves: Mapping[Hashable, float],
+    subs: Sequence[tuple[Hashable, Sequence[Alternative]]],
+    *,
+    size: Callable[[Hashable], int],
+    delay: Callable[[int, int], int],
+    capacity: int,
+    base_time: int,
+    label: Callable[[Hashable], str],
+) -> tuple[dict[Hashable, float], dict[Hashable, int], dict[Hashable, int], int]:
+    """The rtl step sweep of every Section-6.2 array, on ``machine``.
+
+    One PE per subproblem, in the order of ``subs``, folds up to
+    ``capacity`` available alternatives per step into the running minimum
+    in its clocked ``M`` register (the faultable data plane; the
+    scoreboard is the fault-free control plane).  An alternative is
+    available ``delay(size(parent), size(child))`` steps after its later
+    child completes.  The scoreboard is event-driven: an alternative is
+    timed once both children are done, and a PE is scanned only at the
+    steps where one may fold, in PE order, folding in spec order (so the
+    first alternative folded wins a cost tie).  A scan that folds nothing
+    has no visible effect, so this keeps every fold, event and completion
+    step of an every-cell, every-step sweep.
+
+    The caller has run the ``base_time`` leaf-loading ticks.  Returns
+    every key's latched cost and completion step (leaves included), each
+    subproblem's winning alternative index, and the number of folds
+    (every alternative folds once, so that is the serial op count).
+    """
+    inf = float("inf")
+    pes = machine.add_pes(len(subs))
+    # Every key's cost register; the leaves' are loaded before the sweep.
+    cells = {key: Register(f"leaf{key}", v) for key, v in leaves.items()}
+    cells.update((key, pe.reg("M", None)) for (key, _alts), pe in zip(subs, pes))
+    # child -> the alternatives it feeds: (PE, alternative, children, delays)
+    feeds: dict[Hashable, list[tuple[int, int, Hashable, Hashable, int, int]]] = {}
+    for p, (key, alts) in enumerate(subs):
+        parent = size(key)
+        for a, (left, right, _local) in enumerate(alts):
+            feed = (
+                p, a, left, right, delay(parent, size(left)), delay(parent, size(right))
+            )
+            feeds.setdefault(left, []).append(feed)
+            feeds.setdefault(right, []).append(feed)
+    avail = [[inf] * len(alts) for _key, alts in subs]  # inf: not yet timed
+    pending = [list(range(len(alts))) for _key, alts in subs]
+    wake: dict[int, set[int]] = {}
+    done = dict.fromkeys(leaves, base_time)
+
+    def completed(child: Hashable) -> None:
+        """``child`` is done: time every alternative it unblocks."""
+        for p, a, left, right, left_delay, right_delay in feeds.get(child, ()):
+            if left in done and right in done:
+                at = max(done[left] + left_delay, done[right] + right_delay)
+                avail[p][a] = at
+                wake.setdefault(at + 1, set()).add(p)  # foldable once at <= step - 1
+
+    for leaf in leaves:
+        completed(leaf)
+    choice: dict[Hashable, int] = {}
+    folds = 0
+    unresolved = len(subs)
+    max_steps = 8 * sum(map(len, pending)) + 64
+    bus = delay(2, 1) == 0  # no transfer delay: the broadcast-bus design
+    step = base_time
+    # Availability is monotone, so sweeping steps forward and folding
+    # whatever became available is an exact event-driven simulation.
+    while unresolved:
+        step += 1
+        observed = machine.observed
+        for p in sorted(wake.pop(step, ())):
+            key, alts = subs[p]
+            known = avail[p]
+            reg = cells[key]
+            machine.enter_pe(p)
+            staged = reg.value  # running minimum latched so far
+            remaining: list[int] = []
+            folded = 0
+            queued = False  # an available alternative waits for capacity
+            for a in pending[p]:
+                if known[a] < step:
+                    if folded < capacity:
+                        left, right, local = alts[a]
+                        x, y = cells[left].value, cells[right].value
+                        cost = (inf if x is None else x) + (inf if y is None else y)
+                        cost += local
+                        if staged is None or cost < staged:
+                            staged = cost
+                            choice[key] = a
+                        folded += 1
+                        continue
+                    queued = True
+                remaining.append(a)
+            pending[p] = remaining
+            if folded:
+                folds += folded
+                pes[p].count_op(folded)
+                if observed:
+                    machine.emit("op", p, label(key))
+                reg.set(staged)
+            machine.exit_pe()
+            if queued:
+                wake.setdefault(step + 1, set()).add(p)
+            if not remaining and key in choice:
+                done[key] = step
+                unresolved -= 1
+                completed(key)
+                if bus:
+                    tag = f"bus:{label(key)}" if observed else None
+                    machine.put_on_bus(1, label=tag)
+        machine.end_tick()
+        if step > max_steps:  # defensive: the schedule must terminate
+            raise SystolicError(f"{machine.design}: schedule did not converge")
+    values = {
+        key: inf if (v := cell.value) is None else float(v)
+        for key, cell in cells.items()
+    }
+    return values, done, choice, folds
+
+
 def _key_label(key: Hashable) -> str:
     if isinstance(key, tuple) and len(key) == 2:
         return f"V{key[0]},{key[1]}"
@@ -213,7 +332,7 @@ class TriangularRun:
 
 
 class TriangularArray:
-    """Step-driven engine shared by both processor organizations.
+    """Any :class:`TriangularSpec` on both processor organizations.
 
     ``transfer="broadcast"`` models the multiple-bus design (zero
     transfer delay); ``transfer="systolic"`` models the serialized
@@ -305,94 +424,31 @@ class TriangularArray:
         record_trace: bool = False,
         sinks: Iterable[Callable[[TraceEvent], None]] = (),
     ) -> TriangularRun:
+        # All-to-all links, as on the parenthesizers' machine.
         machine = SystolicMachine(
-            self.design_name, record_trace=record_trace, sinks=sinks
+            self.design_name, record_trace=record_trace, sinks=sinks,
+            topology="complete",
         )
-        values: dict[Hashable, float] = dict(spec.leaves())
-        done: dict[Hashable, int] = {k: self.base_time for k in values}
-        decisions: dict[Hashable, int] = {}
-        serial_ops = sum(len(alts) for _k, alts in subs)
+        leaves = spec.leaves()
         for _ in range(self.base_time):  # leaves load during the base steps
             machine.end_tick()
-        machine.read_input(len(values), label="in:leaves")
-        if not subs and spec.goal() in values:
-            machine.write_output(1, label="out:goal")
-            return TriangularRun(
-                value=values[spec.goal()],
-                values=dict(values),
-                decisions={},
-                steps=self.base_time,
-                completion=dict(done),
-                alternatives_evaluated=0,
-                num_processors=0,
-                report=machine.finalize(iterations=self.base_time, serial_ops=0),
-                trace=machine.legacy_trace(),
-                events=machine.trace_events(),
-            )
-        machine.add_pes(len(subs))
-        pe_index = {key: idx for idx, (key, _alts) in enumerate(subs)}
-        pending: dict[Hashable, list[tuple[int, Alternative]]] = {
-            key: list(enumerate(alts)) for key, alts in subs
-        }
-        best: dict[Hashable, float] = {}
-        unresolved = [key for key, _ in subs]
-        evaluated = 0
-        step = self.base_time
-        max_steps = 8 * serial_ops + 64
-        while unresolved:
-            step += 1
-            still: list[Hashable] = []
-            for key in unresolved:
-                psize = spec.size(key)
-                folded = 0
-                remaining: list[tuple[int, Alternative]] = []
-                for idx, alt in pending[key]:
-                    ready = (
-                        alt.child_a in done
-                        and alt.child_b in done
-                        and max(
-                            done[alt.child_a]
-                            + self._delay(psize, spec.size(alt.child_a)),
-                            done[alt.child_b]
-                            + self._delay(psize, spec.size(alt.child_b)),
-                        )
-                        <= step - 1
-                    )
-                    if ready and folded < self.alternatives_per_step:
-                        cost = values[alt.child_a] + values[alt.child_b] + alt.local
-                        if key not in best or cost < best[key]:
-                            best[key] = cost
-                            decisions[key] = idx
-                        folded += 1
-                        evaluated += 1
-                    else:
-                        remaining.append((idx, alt))
-                pending[key] = remaining
-                if folded:
-                    machine.pes[pe_index[key]].count_op(folded)
-                    machine.emit("op", pe_index[key], _key_label(key))
-                    if self.transfer == "broadcast" and not remaining:
-                        machine.put_on_bus(1, label=f"bus:{_key_label(key)}")
-                if remaining or key not in best:
-                    still.append(key)
-                else:
-                    values[key] = best[key]
-                    done[key] = step
-            unresolved = still
-            machine.end_tick()
-            if step > max_steps:  # defensive: must converge
-                raise SystolicError("triangular schedule did not converge")
-        goal = spec.goal()
+        machine.read_input(len(leaves), label="in:leaves")
+        values, done, decisions, evaluated = _sweep(
+            machine, leaves, subs, size=spec.size, delay=self._delay,
+            capacity=self.alternatives_per_step, base_time=self.base_time,
+            label=_key_label,
+        )
         machine.write_output(1, label="out:goal")
+        goal = spec.goal()
         return TriangularRun(
             value=values[goal],
-            values=dict(values),
+            values=values,
             decisions=decisions,
             steps=done[goal],
-            completion=dict(done),
+            completion=done,
             alternatives_evaluated=evaluated,
             num_processors=len(subs),
-            report=machine.finalize(iterations=done[goal], serial_ops=serial_ops),
+            report=machine.finalize(iterations=done[goal], serial_ops=evaluated),
             trace=machine.legacy_trace(),
             events=machine.trace_events(),
         )
@@ -409,30 +465,6 @@ class TriangularArray:
         values: dict[Hashable, float] = dict(spec.leaves())
         done: dict[Hashable, int] = {k: self.base_time for k in values}
         serial_ops = sum(len(alts) for _k, alts in subs)
-        if not subs and spec.goal() in values:
-            report = RunReport(
-                design=self.design_name,
-                num_pes=0,
-                iterations=self.base_time,
-                wall_ticks=self.base_time,
-                pe_busy_ticks=(),
-                pe_op_counts=(),
-                serial_ops=0,
-                input_words=len(values),
-                output_words=1,
-                broadcast_words=0,
-                backend="fast",
-            )
-            return TriangularRun(
-                value=values[spec.goal()],
-                values=dict(values),
-                decisions={},
-                steps=self.base_time,
-                completion=dict(done),
-                alternatives_evaluated=0,
-                num_processors=0,
-                report=report,
-            )
         decisions: dict[Hashable, int] = {}
         ops: list[int] = []
         busy: list[int] = []
@@ -500,7 +532,7 @@ def obst_t_d(n_keys: int) -> int:
     s = n_keys
     while s > 0:
         sizes.append(s)
-        s = (s - 1 + 1) // 2 if s > 1 else 0  # ceil((s-1)/2)
+        s //= 2  # ceil((s-1)/2)
     for s in reversed(sizes):
         t += (s + 1) // 2
     return t

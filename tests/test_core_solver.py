@@ -299,3 +299,15 @@ class TestPreferValidation:
     )
     def test_every_known_prefer_is_accepted(self, prefer):
         assert solve(fig1a_graph(), prefer=prefer, backend="fast").validated
+
+    @pytest.mark.parametrize("prefer", [None, "pipelined", "broadcast", "systolic"])
+    def test_healthy_batch_and_fault_runs_take_one_array(self, prefer):
+        from repro import solve_batch
+        from repro.faults import FaultPlan
+
+        g = uniform_multistage(np.random.default_rng(5), 5, 3)
+        healthy = solve(g, prefer=prefer, backend="fast").method
+        (row,) = solve_batch([g], prefer=prefer, backend="fast")
+        faulty = solve(g, prefer=prefer, fault_plan=FaultPlan(specs=())).method
+        assert healthy.endswith("-array")
+        assert healthy == row.method == faulty.removesuffix("+faults")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from repro.systolic import (
     t_d_recurrence,
     t_p_recurrence,
 )
+
+from .test_rtl_golden_streams import _digest
 
 
 class TestMatrixChainSpec:
@@ -39,6 +43,20 @@ class TestMatrixChainSpec:
             assert gs.steps == ds.steps == t_p_recurrence(n)
             assert gb.value == db.order.cost
             assert gs.value == ds.order.cost
+            # Both backends of the generalized array agree with the
+            # parenthesizer cell by cell, leaves included.
+            for backend in ("rtl", "fast"):
+                for transfer, engine in (
+                    ("broadcast", BroadcastParenthesizer),
+                    ("systolic", SystolicParenthesizer),
+                ):
+                    g = TriangularArray(transfer).run(
+                        MatrixChainSpec(dims), backend=backend
+                    )
+                    d = engine().run(dims, backend=backend)
+                    assert g.completion == dict(d.subproblem_completion)
+                    assert g.alternatives_evaluated == d.alternatives_evaluated
+                    assert g.steps == d.steps
 
     def test_subproblem_values_all_correct(self, rng):
         dims = list(rng.integers(1, 20, size=6))
@@ -136,3 +154,89 @@ def test_property_obst_array_equals_dp(n, seed):
     run = TriangularArray("broadcast").run(ObstSpec(p, q))
     assert run.value == pytest.approx(solve_obst(p, q).cost)
     assert run.steps == n + 1
+
+
+def _obst_spec(n):
+    return ObstSpec(*random_obst_weights(np.random.default_rng(60 + n), n))
+
+
+def _chain_spec(n):
+    # Few distinct dimensions, so the tie-breaking between splits is pinned too.
+    dims = np.random.default_rng(70 + n).integers(1, 6, size=n + 1)
+    return MatrixChainSpec([int(d) for d in dims])
+
+
+PIN_SPECS = {
+    "obst0": lambda: _obst_spec(0),
+    "obst1": lambda: _obst_spec(1),
+    "obst7": lambda: _obst_spec(7),
+    "chain1": lambda: _chain_spec(1),
+    "chain9": lambda: _chain_spec(9),
+}
+
+#: ``(untraced digest, traced digest)`` of the rtl run per
+#: ``spec-transfer-alternatives_per_step`` case (see
+#: ``test_rtl_golden_streams._digest``: events, report, value and decisions).
+GOLDEN = {
+    "obst0-broadcast-1": ("1e4a3d2a1f8ccc6a711251dfb5441c1745a85032a2aad27203a350df1de640ec",
+                          "4b6ca1515ebab3915f19dd2ee23f8358b4f90613154a4ce4319fb7ca11eb22b3"),
+    "obst0-broadcast-2": ("1e4a3d2a1f8ccc6a711251dfb5441c1745a85032a2aad27203a350df1de640ec",
+                          "4b6ca1515ebab3915f19dd2ee23f8358b4f90613154a4ce4319fb7ca11eb22b3"),
+    "obst0-systolic-1": ("20deff035647e4627ef942209dfe41f7af4ad1bd4991b821c336e5c0289a6a4f",
+                         "167ad3e2c36b1d68476a998ac709b623cb7168b130a59fd6a646b2f966d0ae24"),
+    "obst0-systolic-2": ("20deff035647e4627ef942209dfe41f7af4ad1bd4991b821c336e5c0289a6a4f",
+                         "167ad3e2c36b1d68476a998ac709b623cb7168b130a59fd6a646b2f966d0ae24"),
+    "obst1-broadcast-1": ("05cfa1cb0355eed6a805f50ef13c6bf03bb0639b52c57d9975ca6d3c26617b52",
+                          "ca6be7b45ca8fe3d7dc5e81adbf5bf5efbe480307abe1cf2f1f9a781db7ed349"),
+    "obst1-broadcast-2": ("05cfa1cb0355eed6a805f50ef13c6bf03bb0639b52c57d9975ca6d3c26617b52",
+                          "ca6be7b45ca8fe3d7dc5e81adbf5bf5efbe480307abe1cf2f1f9a781db7ed349"),
+    "obst1-systolic-1": ("841f8ab4973db87b629145cf17bc1d6a1dcff779e5e48734ab63681b13433976",
+                         "8a0b74e5c6647b0ad38d5f0c6ccf708313abb7a85a79407c8e337e7a4d931f4a"),
+    "obst1-systolic-2": ("841f8ab4973db87b629145cf17bc1d6a1dcff779e5e48734ab63681b13433976",
+                         "8a0b74e5c6647b0ad38d5f0c6ccf708313abb7a85a79407c8e337e7a4d931f4a"),
+    "obst7-broadcast-1": ("78c228257b2a962441755b6e377bb85664e2c8cf2336fad51ca3f56a1c7b441b",
+                          "4ec3e371bde700dd6d777ebef45ee57d1a48a08b087012590d5b051faa80ca9b"),
+    "obst7-broadcast-2": ("cfc9689033aa5dc1b6f6c68815c23569db3fdfedd1e62510c0764d0ea6e0c5db",
+                          "4fd5848659caf3cab5fa30bb8a01f74c7bef82a9c3f23867a43ce6dfa150b961"),
+    "obst7-systolic-1": ("a0e128eea168308f0258a7205c24ceefdb4d9bd2b271659601ee024ca763ab2d",
+                         "989b4a43e0108f6a3208a05df27c2265e0629550a3d701ac7abba8d384b8cb4f"),
+    "obst7-systolic-2": ("4de7bb6903c1ef55bb77e6fda3a5c52d573cf333fdd7a62ec8645e2e32d38c43",
+                         "fa24aca622bb672ecc3997a26cfbb4db9a567daf037b6ea9145c73098efc12a2"),
+    "chain1-broadcast-1": ("8af1d70f8413c14b18af7724dc454e7bf69af52155a760e0b1293d61489f0416",
+                           "2971340932a76591fbed60afe1321c597e0aca834840eefd8798b3612096f438"),
+    "chain1-broadcast-2": ("8af1d70f8413c14b18af7724dc454e7bf69af52155a760e0b1293d61489f0416",
+                           "2971340932a76591fbed60afe1321c597e0aca834840eefd8798b3612096f438"),
+    "chain1-systolic-1": ("a65abd85de1a640db9d6786a48f889ec608a551b5023c7c8e2390b7a0a6e761c",
+                          "d81dd8f2f7de44cbe3fe5a54efe633c3fbe4fff82613fd7d824c2bd8658359e6"),
+    "chain1-systolic-2": ("a65abd85de1a640db9d6786a48f889ec608a551b5023c7c8e2390b7a0a6e761c",
+                          "d81dd8f2f7de44cbe3fe5a54efe633c3fbe4fff82613fd7d824c2bd8658359e6"),
+    "chain9-broadcast-1": ("0414a4e6ac9b612c24f37ad19b5c3b867767fdf0ffbdf443ae5a0b3b788cfe4f",
+                           "27b7c6c29adb37a0834cff1bb69e63e2027829eba4d6c397c3b0278f43d11db9"),
+    "chain9-broadcast-2": ("e5790bf0d235dfe0d488d038bf333ac058672dbca7d2f8c142ff361e57112d64",
+                           "f56d493adf9359a452be0e14c118d4484800c8c64da544fa17339bb0b503a43b"),
+    "chain9-systolic-1": ("a04ec6de7010e99304832d66a7082dbb253bf6a439c08f1f7566ebd9a798d67c",
+                          "7640a29cf0769d6d9c4039924e76be25b7027c53d9dd57dbf0317b88d356880c"),
+    "chain9-systolic-2": ("bd3333be26c7ec5a10c0e53c6d9a25a64d3dfd935d91ccd09b8c7e87b49f8e58",
+                          "d5c36bae41363ed3fd5da48a13709f3f36cb181beb014196dd1b83cc2367e73c"),
+}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        f"{spec}-{transfer}-{aps}"
+        for spec, transfer, aps in itertools.product(
+            PIN_SPECS, ("broadcast", "systolic"), (1, 2)
+        )
+    ],
+)
+def test_rtl_stream_matches_golden(case, traced):
+    spec_name, transfer, aps = case.split("-")
+    spec = PIN_SPECS[spec_name]()
+    arr = TriangularArray(transfer, alternatives_per_step=int(aps))
+    run = arr.run(spec, backend="rtl", record_trace=traced)
+    assert _digest(run) == GOLDEN[case][traced]
+    fast = arr.run(spec, backend="fast")
+    assert run.completion == fast.completion
+    assert run.values == pytest.approx(fast.values)
