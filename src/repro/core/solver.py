@@ -263,7 +263,12 @@ def solve(
     and a plan that cannot be recovered from raises
     :class:`~repro.faults.FaultDetected`.  Fault injection is a
     cycle-level feature: only the systolic-array dispatch paths
-    support it.
+    support it, so a graph with an explicit ``prefer="sequential"`` or
+    ``"dnc"`` raises :class:`TypeError`.  A problem whose default route
+    is divide-and-conquer still runs its linear array under faults
+    (Fig. 3 for a graph, Fig. 5 for a node-value problem): no
+    ``prefer`` reaches Fig. 5 on a long node-value problem, so this is
+    where its faults are injected.
 
     ``strict`` runs every systolic path under the hazard sanitizer
     (:mod:`repro.analysis.hazards`), which forces the rtl backend.
@@ -409,11 +414,17 @@ def _solve_faulty(
     recovery: str,
 ) -> SolveReport:
     """Run ``problem`` under fault injection on the harness of its
-    :func:`_design`; the sequential oracle validates the result."""
+    :func:`_design`; the sequential oracle validates the result.  An
+    explicit non-array ``prefer`` on a graph is refused, not ignored."""
     import warnings
 
     from .. import faults as flt
 
+    if isinstance(problem, MultistageGraph) and prefer in ("sequential", "dnc"):
+        raise TypeError(
+            "fault injection is only supported on the systolic-array dispatch "
+            f"paths, not with prefer={prefer!r}"
+        )
     design = _design(problem, prefer)
     if design is None:
         shape = getattr(problem, "stage_sizes", "")

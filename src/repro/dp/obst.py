@@ -64,19 +64,22 @@ def solve_obst(p: Sequence[float], q: Sequence[float]) -> ObstSolution:
     the array mappings need every (i, j, r) alternative anyway)."""
     p, q = _check_weights(p, q)
     n = p.size
-    # e, w, root are (n+2) x (n+1) tables, 1-based i, (i-1)-based j.
+    # e is an (n+2) x (n+1) table, 1-based i, (i-1)-based j.
     e = np.zeros((n + 2, n + 1))
-    w = np.zeros((n + 2, n + 1))
     root: dict[tuple[int, int], int] = {}
     for i in range(1, n + 2):
         e[i, i - 1] = q[i - 1]
-        w[i, i - 1] = q[i - 1]
+    # w(i, j) = sum(p_i..p_j) + sum(q_{i-1}..q_j) as prefix-sum
+    # differences, the arithmetic of the triangular array's ObstSpec, so
+    # the two agree to the last bit.
+    pc = np.concatenate([[0.0], np.cumsum(p)])
+    qc = np.concatenate([[0.0], np.cumsum(q)])
     for span in range(1, n + 1):
         for i in range(1, n - span + 2):
             j = i + span - 1
-            w[i, j] = w[i, j - 1] + p[j - 1] + q[j]
+            w = pc[j] - pc[i - 1] + qc[j + 1] - qc[i - 1]
             rs = np.arange(i, j + 1)
-            costs = np.array([e[i, r - 1] + e[r + 1, j] for r in rs]) + w[i, j]
+            costs = np.array([e[i, r - 1] + e[r + 1, j] for r in rs]) + w
             best = int(np.argmin(costs))
             e[i, j] = costs[best]
             root[(i, j)] = int(rs[best])

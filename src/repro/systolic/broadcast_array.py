@@ -28,7 +28,7 @@ closed-form counters.  Costs are checked once at entry, as on Fig. 3.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Any, Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from ..graphs import MultistageGraph, StagePath, check_cost_layers
 from ..semiring import MIN_PLUS, Semiring
 from . import pipelined_array
 from .fabric import (
-    BackendMismatch,
     ProcessingElement,
     RunReport,
     SystolicError,
@@ -55,6 +54,9 @@ __all__ = ["BroadcastArrayResult", "BroadcastMatrixStringArray"]
 @dataclasses.dataclass(frozen=True)
 class BroadcastArrayResult:
     """Output of a broadcast-array run."""
+
+    #: What ``backend="auto"`` compares beside the report (:func:`.run_with_backend`).
+    backend_fields: ClassVar[tuple[str, ...]] = ("value", "decisions")
 
     value: np.ndarray  # final vector (shape (m,)) or scalar (shape ())
     report: RunReport
@@ -177,11 +179,10 @@ class BroadcastMatrixStringArray:
         vectors come back for traceback (:meth:`run_graph_with_path`).
 
         ``backend`` selects RTL simulation, the vectorized fast path, or
-        ``"auto"`` cross-validation; ``record_trace=True`` always runs
-        RTL (tracing is cycle-level), as does subscribing telemetry
-        ``sinks`` to the machine's event bus.  ``strict`` enables the
-        hazard sanitizer (:mod:`repro.analysis.hazards`), which is also
-        cycle-level and forces RTL.
+        ``"auto"`` cross-validation.  ``record_trace``, ``sinks``,
+        ``injector``, ``observe`` and ``strict`` are cycle-level requests
+        with the same meaning as on the Fig. 3 array; they follow the
+        rule of :func:`~repro.systolic.fabric.run_with_backend`.
 
         The operands are checked once here
         (:func:`~repro.graphs.check_cost_layers`): NaN, the wrong
@@ -201,61 +202,27 @@ class BroadcastMatrixStringArray:
         vec: np.ndarray,
         m: int,
         *,
+        backend: str | None,
         track_decisions: bool = False,
-        record_trace: bool = False,
-        backend: str | None = None,
-        sinks: Iterable[Callable[[TraceEvent], None]] = (),
-        injector: object = None,
-        observe: bool | None = None,
-        strict: bool = False,
+        **cycle: Any,
     ) -> BroadcastArrayResult:
-        """:meth:`run` on a normalized string whose costs are checked."""
+        """:meth:`run` on a normalized string whose costs are checked;
+        ``cycle`` holds its cycle-level keywords."""
         sr = self.sr
         resolved = normalize_backend(backend, self.backend)
-        sinks = tuple(sinks)
-        if record_trace or sinks or injector is not None or strict:
-            resolved = "rtl"
-        if observe is None:
-            observe = injector is not None
-        if track_decisions and sr.add_argreduce is None and resolved != "rtl":
+        if track_decisions and sr.add_argreduce is None:
             resolved = "rtl"  # fast decisions need an argreduce; RTL tracks inline
         work = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
         return run_with_backend(
             resolved,
             work=work,
-            rtl=lambda: self._run_rtl(
-                mats,
-                vec,
-                m,
-                track_decisions=track_decisions,
-                record_trace=record_trace,
-                sinks=sinks,
-                injector=injector,
-                observe=bool(observe),
-                strict=strict,
+            rtl=lambda **kw: self._run_rtl(
+                mats, vec, m, track_decisions=track_decisions, **kw
             ),
             fast=lambda: _fast_kernel(sr, mats, vec, track_decisions),
-            validate=self._validate,
             design=self.design_name,
+            **cycle,
         )
-
-    def _validate(self, rtl: BroadcastArrayResult, fast: BroadcastArrayResult) -> None:
-        ok = np.allclose(
-            np.asarray(rtl.value), np.asarray(fast.value), equal_nan=True
-        ) and (rtl.report.iterations, rtl.report.wall_ticks, rtl.report.serial_ops) == (
-            fast.report.iterations,
-            fast.report.wall_ticks,
-            fast.report.serial_ops,
-        )
-        if ok and rtl.decisions is not None and fast.decisions is not None:
-            ok = len(rtl.decisions) == len(fast.decisions) and all(
-                np.array_equal(a, b) for a, b in zip(rtl.decisions, fast.decisions)
-            )
-        if not ok:
-            raise BackendMismatch(
-                f"{self.design_name}: rtl/fast disagree "
-                f"(rtl value {rtl.value!r}, fast value {fast.value!r})"
-            )
 
     # ------------------------------------------------------------------
     # RTL backend

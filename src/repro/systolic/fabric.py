@@ -49,7 +49,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 __all__ = [
     "Register",
@@ -906,18 +909,31 @@ def run_with_backend(
     backend: str,
     *,
     work: int,
-    rtl: Callable[[], Any],
+    rtl: Callable[..., Any],
     fast: Callable[[], Any],
-    validate: Callable[[Any, Any], None],
+    validate: Callable[[Any, Any], None] | None = None,
     validate_limit: int = AUTO_VALIDATE_LIMIT,
     design: str = "array",
+    **cycle: Any,
 ) -> Any:
     """Shared ``rtl | fast | auto`` dispatch used by every array design.
 
+    ``cycle`` holds the cycle-level keywords a design's ``run`` takes
+    (``record_trace``, ``sinks``, ``injector``, ``observe``, ``strict``);
+    they reach ``rtl`` as keywords, with ``sinks`` made a tuple and
+    ``observe=None`` meaning "observe exactly when an injector is
+    attached".  A trace, a sink, an injector or strict mode is a
+    cycle-level request and forces rtl whatever ``backend`` says: the
+    fast path never ticks a machine.
+
     ``work`` is the instance's serial-op count.  ``auto`` always returns
-    the fast result; below ``validate_limit`` it additionally runs the
-    RTL backend and calls ``validate(rtl_result, fast_result)``, which
-    must raise :class:`BackendMismatch` on disagreement.
+    the fast result; up to ``validate_limit`` it also runs rtl and raises
+    :class:`BackendMismatch` unless the two agree on the whole
+    :class:`RunReport` (``backend`` aside) and on every field the result
+    class lists in ``backend_fields``.  Each comparison is exact, except
+    that floats agree under ``np.allclose(..., equal_nan=True)`` with
+    equal shapes.  ``validate(rtl_result, fast_result)``, when given,
+    replaces that check.
 
     Each backend invocation runs under a ``<design>.backend.<name>``
     timing span (:mod:`repro.telemetry.timing`), so rtl and fast
@@ -929,9 +945,18 @@ def run_with_backend(
     """
     from ..telemetry.timing import span  # deferred: telemetry imports fabric
 
+    sinks = cycle.get("sinks")
+    if sinks is not None:
+        cycle["sinks"] = sinks = tuple(sinks)
+    injector = cycle.get("injector")
+    if cycle.get("record_trace") or sinks or injector is not None or cycle.get("strict"):
+        backend = "rtl"
+    if cycle.get("observe", False) is None:
+        cycle["observe"] = injector is not None
+
     if backend == "rtl":
         with span(f"{design}.backend.rtl"):
-            return rtl()
+            return rtl(**cycle)
     if backend == "fast":
         with span(f"{design}.backend.fast"):
             return fast()
@@ -939,6 +964,38 @@ def run_with_backend(
         fast_result = fast()
     if work <= validate_limit:
         with span(f"{design}.backend.rtl"):
-            rtl_result = rtl()
-        validate(rtl_result, fast_result)
+            rtl_result = rtl(**cycle)
+        if validate is None:
+            _check_agreement(design, rtl_result, fast_result)
+        else:
+            validate(rtl_result, fast_result)
     return fast_result
+
+
+def _check_agreement(design: str, rtl: Any, fast: Any) -> None:
+    """The ``auto`` check of :func:`run_with_backend`."""
+    if dataclasses.replace(rtl.report, backend=fast.report.backend) != fast.report:
+        raise BackendMismatch(
+            f"{design}: rtl/fast reports disagree (rtl {rtl.report!r}, "
+            f"fast {fast.report!r})"
+        )
+    for name in type(fast).backend_fields:
+        get = operator.attrgetter(name)
+        if not _agree(get(rtl), get(fast)):
+            raise BackendMismatch(
+                f"{design}: rtl/fast disagree on {name} "
+                f"(rtl {get(rtl)!r}, fast {get(fast)!r})"
+            )
+
+
+def _agree(a: Any, b: Any) -> bool:
+    """Exact equality, except floats: ``np.allclose`` with NaN equal to
+    NaN and equal shapes.  Tuples compare item by item."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_agree, a, b))
+    if isinstance(a, (float, np.ndarray)):
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype.kind == "f":
+            return a.shape == b.shape and bool(np.allclose(a, b, equal_nan=True))
+        return bool(np.array_equal(a, b))
+    return bool(a == b)

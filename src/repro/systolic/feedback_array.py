@@ -50,7 +50,7 @@ engine (:mod:`repro.exec.vectorized`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from ..dp.certificate import certify_forward
 from ..graphs import NodeValueProblem, StagePath
 from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
-    BackendMismatch,
     RunReport,
     SystolicError,
     SystolicMachine,
@@ -88,6 +87,11 @@ class _Pair(NamedTuple):
 @dataclasses.dataclass(frozen=True)
 class FeedbackArrayResult:
     """Output of a feedback-array run."""
+
+    #: What ``backend="auto"`` compares beside the report (:func:`.run_with_backend`).
+    backend_fields: ClassVar[tuple[str, ...]] = (
+        "optimum", "final_stage_values", "path.nodes",
+    )
 
     optimum: float
     path: StagePath
@@ -255,11 +259,10 @@ class FeedbackSystolicArray:
         ``-`` for a stage-1 pass-through.
 
         ``backend`` selects RTL simulation, the vectorized fast path, or
-        ``"auto"`` cross-validation; ``record_trace=True`` always runs
-        RTL (tracing is cycle-level), as does subscribing telemetry
-        ``sinks`` to the machine's event bus.  ``strict`` enables the
-        hazard sanitizer (:mod:`repro.analysis.hazards`), which is also
-        cycle-level and forces RTL.
+        ``"auto"`` cross-validation.  ``record_trace``, ``sinks``,
+        ``injector``, ``observe`` and ``strict`` are cycle-level requests
+        as on the Fig. 3 array (``observe`` fills ``stage_values``); they
+        follow the rule of :func:`~repro.systolic.fabric.run_with_backend`.
         """
         sr = self.sr
         if problem.semiring.name != sr.name:
@@ -269,43 +272,17 @@ class FeedbackSystolicArray:
                 "the Fig. 5 array requires a uniform number of quantized values "
                 f"per stage; got sizes {problem.stage_sizes}"
             )
-        resolved = normalize_backend(backend, self.backend)
-        sinks = tuple(sinks)
-        if record_trace or sinks or injector is not None or strict:
-            resolved = "rtl"
-        if observe is None:
-            observe = injector is not None
         n_stages = problem.num_stages
         m = problem.stage_sizes[0]
         return run_with_backend(
-            resolved,
+            normalize_backend(backend, self.backend),
             work=_serial_ops(n_stages, m),
-            rtl=lambda: self._run_rtl(
-                problem, n_stages, m, record_trace=record_trace, sinks=sinks,
-                injector=injector, observe=bool(observe), strict=strict,
-            ),
+            rtl=lambda **kw: self._run_rtl(problem, n_stages, m, **kw),
             fast=lambda: _fast_kernel(sr, problem.to_graph().costs)[0],
-            validate=self._validate,
             design=self.design_name,
+            record_trace=record_trace, sinks=sinks, injector=injector,
+            observe=observe, strict=strict,
         )
-
-    def _validate(self, rtl: FeedbackArrayResult, fast: FeedbackArrayResult) -> None:
-        ok = (
-            np.isclose(rtl.optimum, fast.optimum, equal_nan=True)
-            and np.allclose(
-                np.asarray(rtl.final_stage_values),
-                np.asarray(fast.final_stage_values),
-                equal_nan=True,
-            )
-            and rtl.path.nodes == fast.path.nodes
-            and rtl.report.iterations == fast.report.iterations
-            and rtl.report.serial_ops == fast.report.serial_ops
-        )
-        if not ok:
-            raise BackendMismatch(
-                f"{self.design_name}: rtl/fast disagree "
-                f"(rtl optimum {rtl.optimum!r}, fast optimum {fast.optimum!r})"
-            )
 
     # ------------------------------------------------------------------
     # RTL backend

@@ -31,13 +31,12 @@ plus the schedule's closed-form counters.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
 from ..semiring import MIN_PLUS, Semiring, matmul
 from .fabric import (
-    BackendMismatch,
     RunReport,
     SystolicError,
     SystolicMachine,
@@ -62,6 +61,9 @@ def mesh_cycles(n: int, k: int, m: int) -> int:
 @dataclasses.dataclass(frozen=True)
 class MeshArrayResult:
     """Output of a mesh-array run."""
+
+    #: What ``backend="auto"`` compares beside the report (:func:`.run_with_backend`).
+    backend_fields: ClassVar[tuple[str, ...]] = ("value",)
 
     value: np.ndarray  # the product matrix
     report: RunReport
@@ -99,11 +101,10 @@ class MeshMatrixMultiplier:
         :func:`repro.semiring.matmul` by the tests; the report's
         ``wall_ticks`` equals :func:`mesh_cycles`.  ``backend`` selects
         RTL simulation, the vectorized fast path, or ``"auto"``
-        cross-validation; ``record_trace=True`` always runs RTL, as
-        does subscribing telemetry ``sinks`` to the event bus.
-        ``strict`` enables the hazard sanitizer
-        (:mod:`repro.analysis.hazards`), which is also cycle-level and
-        forces RTL.
+        cross-validation.  ``record_trace``, ``sinks``, ``injector`` and
+        ``strict`` are cycle-level requests with the same meaning as on
+        the Fig. 3 array; they follow the rule of
+        :func:`~repro.systolic.fabric.run_with_backend`.
         """
         sr = self.sr
         a = sr.asarray(a)
@@ -114,29 +115,15 @@ class MeshMatrixMultiplier:
         k2, m = b.shape
         if k != k2:
             raise SystolicError(f"inner dimensions differ: {a.shape} x {b.shape}")
-        resolved = normalize_backend(backend, self.backend)
-        sinks = tuple(sinks)
-        if record_trace or sinks or injector is not None or strict:
-            resolved = "rtl"
         return run_with_backend(
-            resolved,
+            normalize_backend(backend, self.backend),
             work=n * k * m,
-            rtl=lambda: self._run_rtl(
-                a, b, n, k, m, record_trace=record_trace, sinks=sinks,
-                injector=injector, strict=strict,
-            ),
+            rtl=lambda **kw: self._run_rtl(a, b, n, k, m, **kw),
             fast=lambda: self._run_fast(a, b, n, k, m),
-            validate=self._validate,
             design=self.design_name,
+            record_trace=record_trace, sinks=sinks, injector=injector,
+            strict=strict,
         )
-
-    def _validate(self, rtl: MeshArrayResult, fast: MeshArrayResult) -> None:
-        if not np.allclose(rtl.value, fast.value, equal_nan=True) or (
-            rtl.report.iterations,
-            rtl.report.wall_ticks,
-            rtl.report.serial_ops,
-        ) != (fast.report.iterations, fast.report.wall_ticks, fast.report.serial_ops):
-            raise BackendMismatch(f"{self.design_name}: rtl/fast disagree")
 
     # ------------------------------------------------------------------
     # RTL backend

@@ -38,7 +38,7 @@ RTL on small instances.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from ..dp.certificate import certify_backward
 from ..graphs import MultistageGraph, check_cost_layers
 from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
-    BackendMismatch,
     RunReport,
     SystolicError,
     SystolicMachine,
@@ -62,6 +61,9 @@ __all__ = ["PipelinedArrayResult", "PipelinedMatrixStringArray", "StreamedRunRes
 @dataclasses.dataclass(frozen=True)
 class PipelinedArrayResult:
     """Output of a pipelined-array run."""
+
+    #: What ``backend="auto"`` compares beside the report (:func:`.run_with_backend`).
+    backend_fields: ClassVar[tuple[str, ...]] = ("value",)
 
     value: np.ndarray  # final vector (shape (m,)) or scalar (shape ())
     report: RunReport
@@ -252,25 +254,15 @@ class PipelinedMatrixStringArray:
         ``backend`` overrides the array default: ``"rtl"`` simulates the
         clocked machine, ``"fast"`` computes the same values with
         whole-array semiring reductions, ``"auto"`` cross-validates fast
-        against RTL on small instances.  Tracing is a cycle-level
-        feature, so ``record_trace=True`` always runs RTL; so do
-        ``sinks`` — telemetry callables (e.g.
-        :class:`~repro.telemetry.MetricsSink` /
-        :class:`~repro.telemetry.TimelineSink`) subscribed to the
-        machine's event bus for the duration of the run.
-
-        ``injector`` attaches a fault injector (:mod:`repro.faults`) to
-        the machine's tick loop, which also forces RTL — faults are a
-        cycle-level phenomenon.  ``observe`` captures the per-phase
-        boundary vectors for the ABFT detectors (defaults to on exactly
-        when an injector is attached).
-
-        ``strict`` turns on the hazard sanitizer
-        (:mod:`repro.analysis.hazards`): every register read/write of
-        the run is checked against the systolic discipline, and any
-        violation raises ``HazardError`` at finalize.  Hazards are a
-        cycle-level property, so strict mode also forces RTL — the fast
-        vectorized path never pays for it.
+        against RTL on small instances.  ``sinks`` subscribe telemetry
+        callables (e.g. :class:`~repro.telemetry.MetricsSink`) to the
+        machine's event bus; ``injector`` attaches a fault injector
+        (:mod:`repro.faults`) to its tick loop; ``observe`` captures the
+        per-phase boundary vectors for the ABFT detectors; ``strict``
+        turns on the hazard sanitizer (:mod:`repro.analysis.hazards`),
+        whose violations raise ``HazardError``.  These cycle-level
+        requests follow the rule of
+        :func:`~repro.systolic.fabric.run_with_backend`.
 
         The operands are checked once here
         (:func:`~repro.graphs.check_cost_layers`): NaN, the wrong
@@ -289,45 +281,20 @@ class PipelinedMatrixStringArray:
         vec: np.ndarray,
         m: int,
         *,
-        record_trace: bool,
         backend: str | None,
-        sinks: Iterable[Callable[[TraceEvent], None]],
-        injector: object,
-        observe: bool | None,
-        strict: bool,
+        **cycle: Any,
     ) -> PipelinedArrayResult:
-        """:meth:`run` on a normalized string whose costs are checked."""
-        resolved = normalize_backend(backend, self.backend)
-        sinks = tuple(sinks)
-        if record_trace or sinks or injector is not None or strict:
-            resolved = "rtl"
-        if observe is None:
-            observe = injector is not None
+        """:meth:`run` on a normalized string whose costs are checked;
+        ``cycle`` holds its cycle-level keywords."""
         work = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
         return run_with_backend(
-            resolved,
+            normalize_backend(backend, self.backend),
             work=work,
-            rtl=lambda: self._run_rtl(
-                mats, vec, m, record_trace=record_trace, sinks=sinks,
-                injector=injector, observe=bool(observe), strict=strict,
-            ),
+            rtl=lambda **kw: self._run_rtl(mats, vec, m, **kw),
             fast=lambda: _fast_kernel(self.sr, mats, vec)[0],
-            validate=self._validate,
             design=self.design_name,
+            **cycle,
         )
-
-    def _validate(self, rtl: PipelinedArrayResult, fast: PipelinedArrayResult) -> None:
-        if not np.allclose(
-            np.asarray(rtl.value), np.asarray(fast.value), equal_nan=True
-        ) or (rtl.report.iterations, rtl.report.wall_ticks, rtl.report.serial_ops) != (
-            fast.report.iterations,
-            fast.report.wall_ticks,
-            fast.report.serial_ops,
-        ):
-            raise BackendMismatch(
-                f"{self.design_name}: rtl/fast disagree "
-                f"(rtl value {rtl.value!r}, fast value {fast.value!r})"
-            )
 
     # ------------------------------------------------------------------
     # RTL backend

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -311,3 +312,19 @@ class TestPreferValidation:
         faulty = solve(g, prefer=prefer, fault_plan=FaultPlan(specs=())).method
         assert healthy.endswith("-array")
         assert healthy == row.method == faulty.removesuffix("+faults")
+
+    @pytest.mark.parametrize("prefer", ["sequential", "dnc"])
+    def test_fault_run_refuses_a_non_array_prefer(self, prefer):
+        from repro.faults import FaultPlan
+
+        g = uniform_multistage(np.random.default_rng(5), 5, 3)
+        with pytest.raises(TypeError, match=re.escape(f"prefer={prefer!r}")):
+            solve(g, prefer=prefer, fault_plan=FaultPlan(specs=()))
+
+    def test_default_dnc_graph_runs_fig3_under_faults(self):
+        from repro.faults import FaultPlan
+
+        g = uniform_multistage(np.random.default_rng(5), 40, 3)
+        assert solve(g, backend="fast").method.startswith("divide-and-conquer")
+        faulty = solve(g, fault_plan=FaultPlan(specs=()))
+        assert faulty.method == "fig3-pipelined-array+faults"

@@ -3,19 +3,37 @@ backend dispatch helpers — the layer every array design now runs on."""
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.dp import random_obst_weights
+from repro.graphs import NodeValueProblem, random_multistage
 from repro.systolic import (
     AUTO_VALIDATE_LIMIT,
     BackendMismatch,
+    BroadcastMatrixStringArray,
     EventBus,
+    FeedbackSystolicArray,
+    MeshMatrixMultiplier,
+    ObstSpec,
+    PipelinedMatrixStringArray,
     RunReport,
     SystolicError,
     SystolicMachine,
+    SystolicParenthesizer,
     TraceEvent,
     TraceSink,
+    TriangularArray,
+    broadcast_array,
+    feedback_array,
+    mesh_array,
     normalize_backend,
+    parenthesization,
+    pipelined_array,
     run_with_backend,
+    triangular,
 )
 
 
@@ -210,3 +228,71 @@ class TestBackendDispatch:
 
     def test_backend_mismatch_is_systolic_error(self):
         assert issubclass(BackendMismatch, SystolicError)
+
+
+def _graph():
+    return random_multistage(np.random.default_rng(3), [1, 3, 3, 3, 1])
+
+
+def _node_value():
+    rng = np.random.default_rng(4)
+    values = tuple(rng.uniform(0, 10, 3) for _ in range(4))
+    return NodeValueProblem(values=values, edge_cost=lambda a, b: (a - b) ** 2 + a)
+
+
+#: (module whose dispatch runs the design, answer field, small auto run).
+AUTO_DESIGNS = {
+    "fig3": (pipelined_array, "value", lambda: PipelinedMatrixStringArray().run_graph(
+        _graph(), backend="auto"
+    )),
+    "fig4-decisions": (broadcast_array, "value", lambda: BroadcastMatrixStringArray().run(
+        list(_graph().costs), track_decisions=True, backend="auto"
+    )),
+    "fig5": (feedback_array, "optimum", lambda: FeedbackSystolicArray().run(
+        _node_value(), backend="auto"
+    )),
+    "mesh": (mesh_array, "value", lambda: MeshMatrixMultiplier().run(
+        *np.random.default_rng(5).uniform(0, 9, (2, 3, 3)), backend="auto"
+    )),
+    "paren": (parenthesization, "order.cost", lambda: SystolicParenthesizer().run(
+        [5, 2, 7, 3, 4], backend="auto"
+    )),
+    "triangular": (triangular, "value", lambda: TriangularArray("systolic").run(
+        ObstSpec(*random_obst_weights(np.random.default_rng(6), 4)), backend="auto"
+    )),
+}
+
+
+def _perturbed(obj, path):
+    """``obj`` with the dotted field ``path`` bumped by one (a tuple's
+    first entry)."""
+    head, _, rest = path.partition(".")
+    old = getattr(obj, head)
+    if rest:
+        new = _perturbed(old, rest)
+    elif isinstance(old, tuple):
+        new = (old[0] + 1, *old[1:])
+    else:
+        new = np.asarray(old) + 1 if isinstance(old, np.ndarray) else old + 1
+    return dataclasses.replace(obj, **{head: new})
+
+
+class TestAutoCrossCheck:
+    @pytest.mark.parametrize("design", AUTO_DESIGNS)
+    def test_healthy_auto_run_passes(self, design):
+        res = AUTO_DESIGNS[design][2]()
+        assert res.report.backend == "fast"
+
+    @pytest.mark.parametrize("field", ["answer", "report.wall_ticks", "report.pe_busy_ticks"])
+    @pytest.mark.parametrize("design", AUTO_DESIGNS)
+    def test_perturbed_fast_result_is_rejected(self, monkeypatch, design, field):
+        module, answer, run = AUTO_DESIGNS[design]
+        path = answer if field == "answer" else field
+        dispatch = module.run_with_backend
+
+        def perturbing(backend, *, fast, **kw):
+            return dispatch(backend, fast=lambda: _perturbed(fast(), path), **kw)
+
+        monkeypatch.setattr(module, "run_with_backend", perturbing)
+        with pytest.raises(BackendMismatch):
+            run()

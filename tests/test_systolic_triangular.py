@@ -70,7 +70,19 @@ class TestObstSpec:
         for seed in range(5):
             p, q = random_obst_weights(np.random.default_rng(seed), 6)
             run = TriangularArray("broadcast").run(ObstSpec(p, q))
-            assert run.value == pytest.approx(solve_obst(p, q).cost)
+            assert run.value == solve_obst(p, q).cost
+
+    def test_value_equals_dp_exactly(self):
+        # 20 seeds x n = 1..10 x both transfers x rtl/fast: 800 runs, each
+        # bit-equal to the sequential DP's cost.
+        for seed, n in itertools.product(range(20), range(1, 11)):
+            p, q = random_obst_weights(np.random.default_rng(seed), n)
+            cost = solve_obst(p, q).cost
+            for transfer, backend in itertools.product(
+                ("broadcast", "systolic"), ("rtl", "fast")
+            ):
+                run = TriangularArray(transfer).run(ObstSpec(p, q), backend=backend)
+                assert run.value == cost, (seed, n, transfer, backend)
 
     def test_broadcast_schedule_is_n_plus_1(self):
         for n in (1, 2, 4, 7, 12):
@@ -152,7 +164,7 @@ class TestEngineOptions:
 def test_property_obst_array_equals_dp(n, seed):
     p, q = random_obst_weights(np.random.default_rng(seed), n)
     run = TriangularArray("broadcast").run(ObstSpec(p, q))
-    assert run.value == pytest.approx(solve_obst(p, q).cost)
+    assert run.value == solve_obst(p, q).cost
     assert run.steps == n + 1
 
 
