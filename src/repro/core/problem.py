@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..dp.matrix_chain import _check_dims
+
 __all__ = ["MatrixChainProblem"]
 
 
@@ -24,12 +26,7 @@ class MatrixChainProblem:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 2:
-            raise ValueError("need at least one matrix (two dimensions)")
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"dimensions must be positive, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _check_dims(self.dims))
 
     @property
     def num_matrices(self) -> int:

@@ -16,11 +16,11 @@ over all stages at once, where the kernel had to go stage by stage:
   ``v_k == ⊕_j C_k[:, j] ⊗ v_{k+1}[j]`` for every stage, checked on runs
   of same-shape layers.  The chain keeps no decisions, so this one
   recomputes the ⊕, but for all stages at once.
-* :func:`certify_interval` — eq. (6), the parenthesization arrays:
-  every cell of the ``M`` table equals
-  ``min_k M[i,k] + M[k+1,j] + r_{i-1}·r_k·r_j``, the recorded split
-  attains it, and the returned order costs ``M[1, n]`` scalar
-  multiplications.
+* :func:`certify_interval` — eq. (6) and OBST, the Section-6.2 arrays:
+  every cell of an interval table equals
+  ``min_k V[x,k] + V[k+1,y] + local(x, y, k)`` for the recurrence's
+  local term, the recorded split attains it, and the diagonal holds the
+  leaves.
 
 Comparisons are exact ``==``: a certificate repeats the kernel's own
 ⊗ on the same operands, and the ⊕ of every semiring with an
@@ -36,12 +36,11 @@ instance of a ``(B, …)`` stack.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ..semiring import Semiring
-from .matrix_chain import ChainOrder, count_scalar_multiplications
 
 __all__ = [
     "CHUNK_ELEMENTS",
@@ -148,40 +147,38 @@ def certify_backward(
 
 
 def certify_interval(
-    dims: Sequence[int], table: np.ndarray, splits: np.ndarray, order: ChainOrder
+    table: np.ndarray,
+    splits: np.ndarray,
+    leaves: np.ndarray,
+    local: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> bool:
-    """Certify a matrix-chain table of eq. (6).
+    """Certify an interval table: eq. (6), OBST, any recurrence of that form.
 
-    ``table`` and ``splits`` are 1-based ``(n+2, n+2)`` arrays: ``M[i, j]``
-    the least cost of ``M_i … M_j`` and ``S[i, j]`` its split.  Every
-    cell ``i < j`` must equal its minimum over splits (one ``(n, n, n)``
-    op, chunked by rows) and be attained at ``S[i, j]``; the diagonal is
-    0; ``order`` must cost ``M[1, n]`` by
-    :func:`~repro.dp.count_scalar_multiplications`.
+    ``table`` and ``splits`` are 1-based ``(m+2, m+2)`` arrays over the
+    intervals of a row of ``m`` leaves: ``V[x, y]`` the optimum of leaves
+    ``x … y`` and ``K[x, y]`` the leaf it splits after.  ``local(x, y, k)``
+    is the recurrence's local term over broadcast index arrays.  Every
+    cell ``x < y`` must equal ``min_k V[x, k] + V[k+1, y] + local(x, y, k)``
+    over ``x ≤ k < y`` (one ``(m, m, m)`` op, chunked by rows) and be
+    attained at ``K[x, y]``; the diagonal must hold ``leaves``.
     """
-    r = np.asarray(dims, dtype=np.int64)
-    n = r.size - 1
-    cells = table[1 : n + 1, 1 : n + 1]  # [i-1, j-1] = M[i, j]
-    if order.cost != cells[0, -1] or order.cost != count_scalar_multiplications(
-        dims, order.expression
-    )[0]:
+    m = len(leaves)
+    cells = table[1 : m + 1, 1 : m + 1]  # [x-1, y-1] = V[x, y]
+    if np.any(np.diagonal(cells) != leaves):
         return False
-    if np.any(np.diagonal(cells) != 0):
-        return False
-    idx = np.arange(1, n + 1)
-    below = table[2 : n + 2, 1 : n + 1].T  # [j-1, k-1] = M[k+1, j]
-    rk = r[1:]  # r_k, and r_j
-    never = np.iinfo(np.int64).max
-    for a, b in _chunks(0, n, n * n):
-        i = idx[a:b, None, None]
-        # cost[i, j, k] of splitting M_i … M_j after M_k.
-        cost = cells[a:b, None, :] + below[None] + r[a:b, None, None] * rk[None, :, None] * rk
-        valid = (i <= idx) & (idx < idx[:, None])  # i <= k < j
+    idx = np.arange(1, m + 1)
+    below = table[2 : m + 2, 1 : m + 1].T  # [y-1, k-1] = V[k+1, y]
+    never = np.inf if table.dtype.kind == "f" else np.iinfo(table.dtype).max
+    for a, b in _chunks(0, m, m * m):
+        x = idx[a:b, None, None]
+        # cost[x, y, k] of splitting leaves x … y after leaf k.
+        cost = cells[a:b, None, :] + below[None] + local(x, idx[:, None], idx)
+        valid = (x <= idx) & (idx < idx[:, None])  # x <= k < y
         best = np.where(valid, cost, never).min(axis=-1)
-        upper = idx[a:b, None] < idx  # cells with i < j
-        split = splits[1 : n + 1, 1 : n + 1][a:b]
+        upper = idx[a:b, None] < idx  # cells with x < y
+        split = splits[1 : m + 1, 1 : m + 1][a:b]
         in_range = (idx[a:b, None] <= split) & (split < idx)
-        at_split = np.take_along_axis(cost, np.clip(split - 1, 0, n - 1)[..., None], axis=-1)
+        at_split = np.take_along_axis(cost, np.clip(split - 1, 0, m - 1)[..., None], axis=-1)
         good = (best == cells[a:b]) & in_range & (at_split[..., 0] == cells[a:b])
         if not np.all(good | ~upper):
             return False

@@ -55,11 +55,20 @@ _JOIN = object()
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    raw = tuple(dims)
+    try:
+        dims = tuple(int(d) for d in raw)
+    except (TypeError, ValueError, OverflowError):
+        dims = ()
+    if dims != raw:  # NumPy integers and integral floats compare equal
+        raise ValueError(f"dimensions must be integers, got {raw}")
     if len(dims) < 2:
         raise ValueError("need at least one matrix (two dimensions)")
     if any(d <= 0 for d in dims):
         raise ValueError(f"all dimensions must be positive, got {dims}")
+    # Every order costs at most (N - 1)·max(r)³, so the int64 tables are exact.
+    if (len(dims) - 2) * max(dims) ** 3 >= 2**63:
+        raise ValueError(f"chain costs overflow int64 for dimensions up to {max(dims)}")
     return dims
 
 

@@ -18,7 +18,6 @@ via :mod:`repro.systolic.triangular`.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +53,8 @@ def _check_weights(p: Sequence[float], q: Sequence[float]) -> tuple[np.ndarray, 
         raise ValueError("p and q must be 1-D")
     if q.size != p.size + 1:
         raise ValueError(f"need len(q) == len(p) + 1, got {p.size} and {q.size}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("probabilities must be finite")
     if (p < 0).any() or (q < 0).any():
         raise ValueError("probabilities must be nonnegative")
     return p, q
@@ -70,7 +71,7 @@ def solve_obst(p: Sequence[float], q: Sequence[float]) -> ObstSolution:
     for i in range(1, n + 2):
         e[i, i - 1] = q[i - 1]
     # w(i, j) = sum(p_i..p_j) + sum(q_{i-1}..q_j) as prefix-sum
-    # differences, the arithmetic of the triangular array's ObstSpec, so
+    # differences, the arithmetic of the triangular array's ObstSpec.local, so
     # the two agree to the last bit.
     pc = np.concatenate([[0.0], np.cumsum(p)])
     qc = np.concatenate([[0.0], np.cumsum(q)])

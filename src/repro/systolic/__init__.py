@@ -33,6 +33,7 @@ from .feedback_array import FeedbackArrayResult, FeedbackSystolicArray, feedback
 from .mesh_array import MeshArrayResult, MeshMatrixMultiplier, mesh_cycles
 from .spacetime import cell_events, render_spacetime, trace_to_grid
 from .triangular import (
+    IntervalSpec,
     MatrixChainSpec,
     ObstSpec,
     TriangularArray,
@@ -85,6 +86,7 @@ __all__ = [
     "trace_to_grid",
     "cell_events",
     "TriangularSpec",
+    "IntervalSpec",
     "TriangularArray",
     "TriangularRun",
     "MatrixChainSpec",

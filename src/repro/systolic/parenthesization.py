@@ -29,28 +29,29 @@ tables step by step (validated against :func:`repro.dp.solve_matrix_chain`)
 while measuring schedule length, so Propositions 2 and 3 are checked on
 real executions, not just restated.
 
-The fast backend runs a vectorized per-diagonal DP — one NumPy
-expression and one ``argmin`` over every split of every same-span
-subproblem — certifies its table in one pass
-(:func:`~repro.dp.certificate.certify_interval`), and reads its schedule
-from a per-``(design, N)`` memo of per-span greedy runs
-(:func:`repro.systolic.triangular.greedy_completion`): all same-span
-subproblems share one alternative-availability multiset, so their
-completion steps coincide, and the closed-form counters match the rtl
-sweep exactly.
+The fast backend runs the fast path every Section-6.2 array shares
+(:mod:`repro.systolic.triangular`): the exact int64 value and split
+tables of ``MatrixChainSpec`` from one broadcast expression and one
+``argmin`` per span, the schedule memoized per array configuration and
+``N``, and :func:`~repro.dp.certificate.certify_interval` over the tables
+plus a count of the returned order's scalar multiplications.  Its
+closed-form counters match the rtl sweep exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .._readonly import read_only
 from ..dp.certificate import certify_interval
-from ..dp.matrix_chain import ChainOrder, _check_dims, expression_from_splits
+from ..dp.matrix_chain import (
+    ChainOrder,
+    count_scalar_multiplications,
+    expression_from_splits,
+)
 from .fabric import (
     RunReport,
     SystolicError,
@@ -59,7 +60,13 @@ from .fabric import (
     normalize_backend,
     run_with_backend,
 )
-from .triangular import MatrixChainSpec, _sweep, greedy_completion
+from .triangular import (
+    MatrixChainSpec,
+    _interval_dp,
+    _interval_schedule,
+    _sweep,
+    _transfer_delay,
+)
 
 __all__ = [
     "ParenthesizationRun",
@@ -94,9 +101,8 @@ class ParenthesizationRun:
     #: the ``M`` registers, for cell-level cross-checks against the
     #: sequential DP table.  ``None`` otherwise.
     cost_table: Mapping[tuple[int, int], float] | None = None
-    #: The fast backend's certificate verdict
-    #: (:func:`~repro.dp.certificate.certify_interval`); ``None`` when the
-    #: rtl machine ran.
+    #: The fast backend's :func:`.certify_interval` verdict (the order's
+    #: multiplication count included); ``None`` on rtl.
     certified: bool | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -127,14 +133,10 @@ def t_d_recurrence(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = 1
-    sizes = []
-    k = n
+    t, k = 1, n
     while k > 1:
-        sizes.append(k)
-        k = (k + 1) // 2
-    for k in reversed(sizes):
         t += k // 2
+        k = (k + 1) // 2
     return t
 
 
@@ -145,91 +147,11 @@ def t_p_recurrence(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = 2
-    sizes = []
-    k = n
+    t, k = 2, n
     while k > 1:
-        sizes.append(k)
-        k = (k + 1) // 2
-    for k in reversed(sizes):
         t += 2 * (k // 2)
+        k = (k + 1) // 2
     return t
-
-
-def _interval_tables(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Eq. (6)'s cost and split tables ``M``, ``S`` over 1-based ``(i, j)``.
-
-    Vectorized diagonal DP, one anti-diagonal per step as on the arrays:
-    for each span, every split ``k = i + off`` of every same-span cell
-    is one ``(span − 1, cells)`` expression and one ``argmin`` over the
-    split axis (O(1) NumPy ops per span); the first minimum keeps the
-    lowest split on ties.
-    """
-    r = np.asarray(dims, dtype=np.int64)
-    n = r.size - 1
-    M = np.zeros((n + 2, n + 2), dtype=np.int64)
-    S = np.zeros((n + 2, n + 2), dtype=np.int64)
-    for span in range(2, n + 1):
-        i = np.arange(1, n - span + 2)
-        j = i + span - 1
-        k = i + np.arange(span - 1)[:, None]  # [off, cell]: split after M_k
-        costs = M[i, k] + M[k + 1, j] + r[i - 1] * r[k] * r[j]
-        arg = costs.argmin(axis=0)
-        M[i, j] = costs[arg, np.arange(i.size)]
-        S[i, j] = i + arg
-    return M, S
-
-
-@functools.lru_cache(maxsize=128)
-def _fast_schedule(
-    design: type[_ParenthesizerBase], n: int
-) -> tuple[Mapping[tuple[int, int], int], RunReport]:
-    """The schedule of ``n`` matrices on ``design``: its read-only
-    per-subproblem completion map and closed-form :class:`RunReport`.
-
-    Neither depends on the dimensions, so every run of one design and
-    ``n`` shares them (both are immutable).  Every span-``s`` cell shares
-    one availability multiset (child spans ``off + 1`` and
-    ``s − off − 1``), so one greedy run covers the whole diagonal.
-    """
-    delay = design._transfer_delay
-    done_span = {1: design.base_time}
-    busy_span: dict[int, int] = {}
-    alternatives = 0
-    for span in range(2, n + 1):
-        avail = [
-            max(
-                done_span[off + 1] + delay(span, off + 1),
-                done_span[span - off - 1] + delay(span, span - off - 1),
-            )
-            for off in range(span - 1)
-        ]
-        done_span[span], busy_span[span] = greedy_completion(
-            avail, design.alternatives_per_step
-        )
-        alternatives += (span - 1) * (n - span + 1)
-
-    completion = {(i, i): design.base_time for i in range(1, n + 1)}
-    for span in range(2, n + 1):
-        for i in range(1, n - span + 2):
-            completion[(i, i + span - 1)] = done_span[span]
-    cells = sorted(key for key in completion if key[1] > key[0])  # PE order
-    goal_step = done_span[n]
-    num_pes = n * (n - 1) // 2
-    report = RunReport(
-        design=design.design_name,
-        num_pes=num_pes,
-        iterations=goal_step,
-        wall_ticks=goal_step,
-        pe_busy_ticks=tuple(busy_span[j - i + 1] for i, j in cells),
-        pe_op_counts=tuple(j - i for i, j in cells),  # span-1 alternatives per PE
-        serial_ops=alternatives,
-        input_words=n + 1,
-        output_words=1,
-        broadcast_words=num_pes if delay(2, 1) == 0 else 0,
-        backend="fast",
-    )
-    return read_only(completion), report
 
 
 class _ParenthesizerBase:
@@ -247,15 +169,15 @@ class _ParenthesizerBase:
     """
 
     design_name = "base"
+    transfer = "broadcast"
     alternatives_per_step = 2
     base_time = 1  # completion step of the size-1 leaves
 
     def __init__(self, backend: str = "rtl") -> None:
         self.backend = normalize_backend(backend)
 
-    @staticmethod
-    def _transfer_delay(parent_size: int, child_size: int) -> int:
-        raise NotImplementedError
+    def _transfer_delay(self, parent_size: int, child_size: int) -> int:
+        return _transfer_delay(self.transfer, parent_size, child_size)
 
     def run(
         self,
@@ -276,14 +198,12 @@ class _ParenthesizerBase:
         as on the Fig. 3 array (``observe`` fills ``cost_table``); they
         follow the rule of :func:`~repro.systolic.fabric.run_with_backend`.
         """
-        dims = _check_dims(dims)
-        n = len(dims) - 1
-        work = n * (n * n - 1) // 6  # total AND-nodes: sum of (span-1) per cell
+        spec = MatrixChainSpec(dims)
         return run_with_backend(
             normalize_backend(backend, self.backend),
-            work=work,
-            rtl=lambda **kw: self._run_rtl(dims, n, **kw),
-            fast=lambda: self._run_fast(dims, n),
+            work=spec.n * (spec.n**2 - 1) // 6,  # AND-nodes: sum of (span-1) per cell
+            rtl=lambda **kw: self._run_rtl(spec, **kw),
+            fast=lambda: self._run_fast(spec),
             design=self.design_name,
             record_trace=record_trace, sinks=sinks, injector=injector,
             observe=observe, strict=strict,
@@ -294,8 +214,7 @@ class _ParenthesizerBase:
     # ------------------------------------------------------------------
     def _run_rtl(
         self,
-        dims: tuple[int, ...],
-        n: int,
+        spec: MatrixChainSpec,
         *,
         record_trace: bool = False,
         sinks: Iterable[Callable[[TraceEvent], None]] = (),
@@ -303,7 +222,7 @@ class _ParenthesizerBase:
         observe: bool = False,
         strict: bool = False,
     ) -> ParenthesizationRun:
-        spec = MatrixChainSpec(dims)
+        dims, n = spec.dims, spec.n
         subs = sorted(spec.subproblems())  # PE order: ascending (i, j)
         # Both mappings let any OR-node consume any completed child:
         # the broadcast design via its multiple broadcast buses, the
@@ -350,9 +269,13 @@ class _ParenthesizerBase:
     # ------------------------------------------------------------------
     # Fast backend
     # ------------------------------------------------------------------
-    def _run_fast(self, dims: tuple[int, ...], n: int) -> ParenthesizationRun:
-        M, S = _interval_tables(dims)
-        completion, report = _fast_schedule(type(self), n)
+    def _run_fast(self, spec: MatrixChainSpec) -> ParenthesizationRun:
+        dims, n = spec.dims, spec.n
+        M, S = _interval_dp(spec, np.int64)
+        completion, report = _interval_schedule(
+            self.design_name, self.transfer, self.alternatives_per_step,
+            self.base_time, spec.size_offset, n, n + 1, True,
+        )
         order = ChainOrder(
             dims=dims, expression=expression_from_splits(S, n), cost=int(M[1, n])
         )
@@ -363,7 +286,8 @@ class _ParenthesizerBase:
             subproblem_completion=completion,
             alternatives_evaluated=report.serial_ops,
             report=report,
-            certified=certify_interval(dims, M, S, order),
+            certified=certify_interval(M, S, spec.leaf_values, spec.local)
+            and order.cost == count_scalar_multiplications(dims, order.expression)[0],
         )
 
 
@@ -371,10 +295,6 @@ class BroadcastParenthesizer(_ParenthesizerBase):
     """The multiple-broadcast-bus mapping; schedule length ``T_d(N) = N``."""
 
     design_name = "parenthesizer-broadcast"
-
-    @staticmethod
-    def _transfer_delay(parent_size: int, child_size: int) -> int:
-        return 0  # bus: a completed result is visible everywhere next step
 
 
 class SystolicParenthesizer(_ParenthesizerBase):
@@ -387,8 +307,5 @@ class SystolicParenthesizer(_ParenthesizerBase):
     """
 
     design_name = "parenthesizer-systolic"
+    transfer = "systolic"
     base_time = 2  # T_p(1) = 2: leaves spend a step entering the fabric
-
-    @staticmethod
-    def _transfer_delay(parent_size: int, child_size: int) -> int:
-        return parent_size - child_size

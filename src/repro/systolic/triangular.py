@@ -23,21 +23,29 @@ which the matrix-chain parenthesizers of
 
 The sweep drives a :class:`~repro.systolic.fabric.SystolicMachine` (one
 PE per OR-node, one tick per array step, ``op`` events on the trace
-bus).  The fast backend replaces it with a single bottom-up pass — NumPy
-reductions over each subproblem's alternatives plus an event-driven
-greedy schedule (:func:`greedy_completion`) that yields the identical
-completion steps, because capacity-limited folding of unit-time
-alternatives is work-conserving: any fold order gives the same per-step
-fold counts.
+bus).
+
+Both are interval specs (:class:`IntervalSpec`), and the fast backend
+of every Section-6.2 array (parenthesizers and :class:`TriangularArray`)
+is three functions over that form: :func:`_interval_dp` (one broadcast
+expression and one ``argmin`` per interval size),
+:func:`_interval_schedule` (the completion map and closed-form
+:class:`RunReport`, memoized, from one :func:`greedy_completion` run per
+size) and :func:`~repro.dp.certificate.certify_interval`.  Other specs
+run rtl only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 from typing import Callable, ClassVar, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .._readonly import read_only
+from ..dp.certificate import certify_interval
 from ..dp.matrix_chain import _check_dims
 from ..dp.obst import _check_weights
 from .fabric import (
@@ -52,6 +60,7 @@ from .fabric import (
 
 __all__ = [
     "TriangularSpec",
+    "IntervalSpec",
     "MatrixChainSpec",
     "ObstSpec",
     "TriangularRun",
@@ -92,72 +101,86 @@ class TriangularSpec:
         raise NotImplementedError
 
 
-class MatrixChainSpec(TriangularSpec):
-    """Eq. (6): keys are 1-based subchains ``(i, j)``."""
+class IntervalSpec(TriangularSpec):
+    """A spec over the intervals of a row of ``m`` leaves (the fast form).
+
+    Leaf interval ``[x, y]`` (1-based) splits after any ``x ≤ k < y`` into
+    ``[x, k]`` and ``[k + 1, y]`` at cost ``local(x, y, k)``, one expression
+    over broadcast index arrays; its size is its leaf count.  A subclass
+    gives float64 ``leaf_values``, :meth:`local` and ``size_offset`` (the
+    key of ``[x, y]`` is ``(x, y + 1 − size_offset)``); the rest follows.
+    """
+
+    size_offset: ClassVar[int]
+    leaf_values: np.ndarray
+
+    def local(self, x: np.ndarray, y: np.ndarray, k: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def leaves(self) -> dict[Hashable, float]:
+        off = 1 - self.size_offset
+        return {(x, x + off): v for x, v in enumerate(self.leaf_values.tolist(), 1)}
+
+    def subproblems(self) -> Sequence[tuple[Hashable, list[Alternative]]]:
+        m, off = self.leaf_values.size, 1 - self.size_offset
+        out = []
+        for size in range(2, m + 1):
+            x = np.arange(1, m - size + 2)
+            k = x + np.arange(size - 1)[:, None]  # [split offset, cell]
+            local = np.broadcast_to(self.local(x, x + size - 1, k), k.shape)
+            for i, costs in enumerate(local.T.astype(float).tolist(), 1):
+                j = i + size - 1 + off
+                alts = [
+                    Alternative((i, s + off), (s + 1, j), c)
+                    for s, c in enumerate(costs, i)
+                ]
+                out.append(((i, j), alts))
+        return out
+
+    def size(self, key: Hashable) -> int:
+        i, j = key
+        return j - i + self.size_offset
+
+    def goal(self) -> Hashable:
+        return (1, self.leaf_values.size + 1 - self.size_offset)
+
+
+class MatrixChainSpec(IntervalSpec):
+    """Eq. (6): keys are 1-based subchains ``(i, j)``, one leaf per matrix."""
+
+    size_offset = 1
 
     def __init__(self, dims: Sequence[int]) -> None:
         self.dims = _check_dims(dims)
         self.n = len(self.dims) - 1
+        self.leaf_values = np.zeros(self.n)
+        self._r = np.asarray(self.dims, dtype=np.int64)
 
-    def leaves(self) -> dict[Hashable, float]:
-        return {(i, i): 0.0 for i in range(1, self.n + 1)}
-
-    def subproblems(self) -> Sequence[tuple[Hashable, list[Alternative]]]:
-        r = self.dims
-        out = []
-        for span in range(2, self.n + 1):
-            for i in range(1, self.n - span + 2):
-                j = i + span - 1
-                alts = [
-                    Alternative((i, k), (k + 1, j), float(r[i - 1] * r[k] * r[j]))
-                    for k in range(i, j)
-                ]
-                out.append(((i, j), alts))
-        return out
-
-    def size(self, key: Hashable) -> int:
-        i, j = key
-        return j - i + 1
-
-    def goal(self) -> Hashable:
-        return (1, self.n)
+    def local(self, x: np.ndarray, y: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return self._r[x - 1] * self._r[k] * self._r[y]  # r_{i-1}·r_k·r_j, exact int64
 
 
-class ObstSpec(TriangularSpec):
+class ObstSpec(IntervalSpec):
     """Optimal binary search trees: keys are spans ``(i, j)`` with
-    ``j ≥ i − 1``; the empty spans ``(i, i−1)`` are the ``q`` leaves."""
+    ``j ≥ i − 1``; the empty spans ``(i, i−1)`` are the ``q`` leaves.
+
+    Key ``(i, j)`` is the leaf interval ``[i, j + 1]``, and root ``r``
+    splits it after leaf ``r`` into ``(i, r − 1)`` and ``(r + 1, j)``.
+    """
+
+    size_offset = 2  # span length + 1: an empty span has size 1
 
     def __init__(self, p: Sequence[float], q: Sequence[float]) -> None:
         self.p, self.q = _check_weights(p, q)
         self.n = self.p.size
+        self.leaf_values = self.q
         # Prefix sums for w(i, j) = sum(p_i..p_j) + sum(q_{i-1}..q_j).
         self._pc = np.concatenate([[0.0], np.cumsum(self.p)])
         self._qc = np.concatenate([[0.0], np.cumsum(self.q)])
 
-    def _w(self, i: int, j: int) -> float:
-        return float(self._pc[j] - self._pc[i - 1] + self._qc[j + 1] - self._qc[i - 1])
-
-    def leaves(self) -> dict[Hashable, float]:
-        return {(i, i - 1): float(self.q[i - 1]) for i in range(1, self.n + 2)}
-
-    def subproblems(self) -> Sequence[tuple[Hashable, list[Alternative]]]:
-        out = []
-        for span in range(1, self.n + 1):
-            for i in range(1, self.n - span + 2):
-                j = i + span - 1
-                w = self._w(i, j)
-                alts = [
-                    Alternative((i, r - 1), (r + 1, j), w) for r in range(i, j + 1)
-                ]
-                out.append(((i, j), alts))
-        return out
-
-    def size(self, key: Hashable) -> int:
-        i, j = key
-        return j - i + 2  # span length + 1: an empty span has size 1
-
-    def goal(self) -> Hashable:
-        return (1, self.n) if self.n else (1, 0)
+    def local(self, x: np.ndarray, y: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # w(i, j) of key (i, j) = (x, y - 1), whatever the root.
+        return self._pc[y - 1] - self._pc[x - 1] + self._qc[y] - self._qc[x - 1]
 
 
 def greedy_completion(avail_times: Sequence[int], capacity: int) -> tuple[int, int]:
@@ -182,6 +205,85 @@ def greedy_completion(avail_times: Sequence[int], capacity: int) -> tuple[int, i
         else:
             t, used, busy = t + 1, 1, busy + 1
     return t, busy
+
+
+def _transfer_delay(transfer: str, parent_size: int, child_size: int) -> int:
+    """Steps a result takes to its consumer: none on the broadcast buses,
+    one per level through the serialized design's Figure-8 dummy cells."""
+    return 0 if transfer == "broadcast" else parent_size - child_size
+
+
+def _interval_dp(
+    spec: IntervalSpec, dtype: type = np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fast kernel: ``spec``'s value and split tables in ``dtype``.
+
+    ``V[x, y]`` is the optimum of leaf interval ``[x, y]`` and ``K[x, y]``
+    the leaf it splits after (1-based ``(m + 2, m + 2)`` arrays, as
+    :func:`~repro.dp.certificate.certify_interval` reads them).  Per size,
+    every split of every cell is one ``(size − 1, cells)`` expression and
+    one ``argmin``, whose first minimum keeps the lowest split on ties.
+    """
+    m = spec.leaf_values.size
+    V = np.zeros((m + 2, m + 2), dtype=dtype)
+    K = np.zeros((m + 2, m + 2), dtype=np.int64)
+    np.fill_diagonal(V[1:-1, 1:-1], spec.leaf_values)
+    for size in range(2, m + 1):
+        x = np.arange(1, m - size + 2)
+        y = x + size - 1
+        k = x + np.arange(size - 1)[:, None]  # [split offset, cell]
+        costs = V[x, k] + V[k + 1, y] + spec.local(x, y, k)
+        arg = costs.argmin(axis=0)
+        V[x, y] = costs[arg, np.arange(x.size)]
+        K[x, y] = x + arg
+    return V, K
+
+
+@functools.lru_cache(maxsize=256)
+def _interval_schedule(
+    design: str, transfer: str, capacity: int, base_time: int,
+    size_offset: int, m: int, input_words: int, by_row: bool,
+) -> tuple[Mapping[tuple[int, int], int], RunReport]:
+    """The read-only completion map (leaves, then by size and ``x``) and
+    closed-form :class:`RunReport` of ``m`` leaves, shared by every fast
+    run of one configuration since neither depends on values or costs.
+
+    Size-``s`` cells share one availability multiset (child sizes ``a``
+    and ``s − a``), so one greedy run covers the whole size.  The
+    per-PE counters follow the caller's PE order: by size then ``x`` (the
+    spec's subproblem order), or by ``x`` then ``y`` (``by_row``).
+    """
+    delay = functools.partial(_transfer_delay, transfer)
+    done = {1: base_time}
+    busy: dict[int, int] = {}
+    for size in range(2, m + 1):
+        avail = [
+            max(done[a] + delay(size, a), done[size - a] + delay(size, size - a))
+            for a in range(1, size)
+        ]
+        done[size], busy[size] = greedy_completion(avail, capacity)
+    completion = {  # interval [x, y] is the key (x, y + 1 - size_offset)
+        (x, x + size - size_offset): done[size]
+        for size in range(1, m + 1) for x in range(1, m - size + 2)
+    }
+    if by_row:
+        sizes = [y - x + 1 for x in range(1, m + 1) for y in range(x + 1, m + 1)]
+    else:
+        sizes = [size for size in range(2, m + 1) for _x in range(m - size + 1)]
+    report = RunReport(
+        design=design,
+        num_pes=len(sizes),
+        iterations=done[m],
+        wall_ticks=done[m],  # the goal interval completes last
+        pe_busy_ticks=tuple(busy[s] for s in sizes),
+        pe_op_counts=tuple(s - 1 for s in sizes),  # size-1 alternatives per PE
+        serial_ops=sum(sizes) - len(sizes),
+        input_words=input_words,
+        output_words=1,
+        broadcast_words=len(sizes) if transfer == "broadcast" else 0,
+        backend="fast",
+    )
+    return read_only(completion), report
 
 
 def _sweep(
@@ -333,6 +435,8 @@ class TriangularRun:
     trace: tuple[tuple[int, int, str], ...] = ()
     #: The full typed event stream from the machine's trace bus.
     events: tuple[TraceEvent, ...] = ()
+    #: The fast backend's :func:`.certify_interval` verdict; ``None`` on rtl.
+    certified: bool | None = dataclasses.field(default=None, compare=False)
 
 
 class TriangularArray:
@@ -343,6 +447,13 @@ class TriangularArray:
     planar design (delay = level difference, per Figure 8).  Processors
     fold up to ``alternatives_per_step`` available alternatives per
     step, as in the paper's timing arguments for eqs. (42)-(43).
+
+    The rtl backend runs any spec.  The fast backend runs an
+    :class:`IntervalSpec` on the kernel and memoized schedule it shares
+    with the parenthesizers, never calling ``spec.subproblems()``, and
+    stores the certificate's verdict in ``certified``.  Any other spec on
+    ``fast`` or ``auto`` raises :class:`TypeError`, not a silent switch to
+    rtl.
 
     On cost ties between alternatives the RTL backend keeps the first
     alternative *folded* (earliest-available, then spec order) while the
@@ -373,11 +484,6 @@ class TriangularArray:
     def design_name(self) -> str:
         return f"triangular-{self.transfer}"
 
-    def _delay(self, parent_size: int, child_size: int) -> int:
-        if self.transfer == "broadcast":
-            return 0
-        return parent_size - child_size
-
     def run(
         self,
         spec: TriangularSpec,
@@ -394,12 +500,13 @@ class TriangularArray:
         array; they follow the rule of
         :func:`~repro.systolic.fabric.run_with_backend`.
         """
-        subs = list(spec.subproblems())
+        # C(m + 1, 3) alternatives; other specs raise on fast before auto compares.
+        m = spec.leaf_values.size if isinstance(spec, IntervalSpec) else 0
         return run_with_backend(
             normalize_backend(backend, self.backend),
-            work=sum(len(alts) for _k, alts in subs),
-            rtl=lambda **kw: self._run_rtl(spec, subs, **kw),
-            fast=lambda: self._run_fast(spec, subs),
+            work=(m + 1) * m * (m - 1) // 6,
+            rtl=lambda **kw: self._run_rtl(spec, **kw),
+            fast=lambda: self._run_fast(spec),
             design=self.design_name,
             record_trace=record_trace, sinks=sinks,
         )
@@ -410,11 +517,11 @@ class TriangularArray:
     def _run_rtl(
         self,
         spec: TriangularSpec,
-        subs: list[tuple[Hashable, list[Alternative]]],
         *,
         record_trace: bool = False,
         sinks: Iterable[Callable[[TraceEvent], None]] = (),
     ) -> TriangularRun:
+        subs = list(spec.subproblems())
         # All-to-all links, as on the parenthesizers' machine.
         machine = SystolicMachine(
             self.design_name, record_trace=record_trace, sinks=sinks,
@@ -425,7 +532,8 @@ class TriangularArray:
             machine.end_tick()
         machine.read_input(len(leaves), label="in:leaves")
         values, done, decisions, evaluated = _sweep(
-            machine, leaves, subs, size=spec.size, delay=self._delay,
+            machine, leaves, subs, size=spec.size,
+            delay=functools.partial(_transfer_delay, self.transfer),
             capacity=self.alternatives_per_step, base_time=self.base_time,
             label=_key_label,
         )
@@ -447,63 +555,37 @@ class TriangularArray:
     # ------------------------------------------------------------------
     # Fast backend
     # ------------------------------------------------------------------
-    def _run_fast(
-        self,
-        spec: TriangularSpec,
-        subs: list[tuple[Hashable, list[Alternative]]],
-    ) -> TriangularRun:
-        """Single bottom-up pass: NumPy reductions + greedy schedule."""
-        values: dict[Hashable, float] = dict(spec.leaves())
-        done: dict[Hashable, int] = {k: self.base_time for k in values}
-        serial_ops = sum(len(alts) for _k, alts in subs)
-        decisions: dict[Hashable, int] = {}
-        ops: list[int] = []
-        busy: list[int] = []
-        for key, alts in subs:
-            psize = spec.size(key)
-            costs = np.fromiter(
-                (values[a.child_a] + values[a.child_b] + a.local for a in alts),
-                dtype=float,
-                count=len(alts),
+    def _run_fast(self, spec: TriangularSpec) -> TriangularRun:
+        if not isinstance(spec, IntervalSpec):
+            raise TypeError(
+                f"{self.design_name}: the fast backend runs IntervalSpec "
+                f"subclasses only; run {type(spec).__name__} with backend='rtl'"
             )
-            win = int(np.argmin(costs))
-            decisions[key] = win
-            values[key] = float(costs[win])
-            avail = [
-                max(
-                    done[a.child_a] + self._delay(psize, spec.size(a.child_a)),
-                    done[a.child_b] + self._delay(psize, spec.size(a.child_b)),
-                )
-                for a in alts
-            ]
-            comp, busy_steps = greedy_completion(avail, self.alternatives_per_step)
-            done[key] = comp
-            ops.append(len(alts))
-            busy.append(busy_steps)
-        goal = spec.goal()
-        wall = max(done.values())
-        report = RunReport(
-            design=self.design_name,
-            num_pes=len(subs),
-            iterations=done[goal],
-            wall_ticks=wall,
-            pe_busy_ticks=tuple(busy),
-            pe_op_counts=tuple(ops),
-            serial_ops=serial_ops,
-            input_words=len(spec.leaves()),
-            output_words=1,
-            broadcast_words=len(subs) if self.transfer == "broadcast" else 0,
-            backend="fast",
+        m = spec.leaf_values.size
+        V, K = _interval_dp(spec)
+        completion, report = _interval_schedule(
+            self.design_name, self.transfer, self.alternatives_per_step,
+            self.base_time, spec.size_offset, m, m, False,
         )
+        shift = spec.size_offset - 1  # key (x, j) is the interval [x, j + shift]
+        table, split = V.tolist(), K.tolist()
+        values: dict[Hashable, float] = {
+            (x, j): table[x][j + shift] for x, j in completion
+        }
+        decisions: dict[Hashable, int] = {
+            (x, j): split[x][j + shift] - x
+            for x, j in itertools.islice(completion, m, None)  # past the leaves
+        }
         return TriangularRun(
-            value=values[goal],
-            values=dict(values),
+            value=values[spec.goal()],
+            values=values,
             decisions=decisions,
-            steps=done[goal],
-            completion=dict(done),
-            alternatives_evaluated=serial_ops,
-            num_processors=len(subs),
+            steps=report.iterations,
+            completion={key: step for key, step in completion.items()},  # own copy
+            alternatives_evaluated=report.serial_ops,
+            num_processors=report.num_pes,
             report=report,
+            certified=certify_interval(V, K, spec.leaf_values, spec.local),
         )
 
 
@@ -518,12 +600,8 @@ def obst_t_d(n_keys: int) -> int:
     """
     if n_keys < 0:
         raise ValueError("n_keys must be nonnegative")
-    t = 1
-    sizes = []
-    s = n_keys
+    t, s = 1, n_keys
     while s > 0:
-        sizes.append(s)
-        s //= 2  # ceil((s-1)/2)
-    for s in reversed(sizes):
         t += (s + 1) // 2
+        s //= 2  # ceil((s-1)/2)
     return t

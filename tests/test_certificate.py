@@ -18,7 +18,13 @@ import pytest
 
 from repro import MatrixChainProblem, SolveCache, ValidationError, solve, solve_batch
 from repro.core import solver as solver_mod
-from repro.dp import certificate, solve_backward, solve_matrix_chain, solve_node_value
+from repro.dp import (
+    certificate,
+    random_obst_weights,
+    solve_backward,
+    solve_matrix_chain,
+    solve_node_value,
+)
 from repro.dp.nonserial import banded_objective
 from repro.faults import FaultPlan
 from repro.graphs import (
@@ -30,10 +36,13 @@ from repro.graphs import (
 )
 from repro.semiring import ALL_SEMIRINGS, PLUS_TIMES
 from repro.systolic import (
+    ObstSpec,
+    TriangularArray,
     broadcast_array,
     feedback_array,
     parenthesization,
     pipelined_array,
+    triangular,
 )
 
 SELECTIVE = [sr for sr in ALL_SEMIRINGS if sr.add_argreduce is not None]
@@ -79,16 +88,17 @@ def _patch_chain(monkeypatch, corrupt):
     monkeypatch.setattr(solver_mod, "_matvec_chain", chain)
 
 
-def _patch_tables(monkeypatch, corrupt):
-    """Build eq. (6)'s tables, then ``corrupt(r, M, S)`` in place."""
-    real = parenthesization._interval_tables
+def _patch_tables(monkeypatch, corrupt, module=parenthesization):
+    """Build an interval spec's tables in ``module``, then
+    ``corrupt(M, S, local)`` in place."""
+    real = triangular._interval_dp
 
-    def tables(dims):
-        M, S = (a.copy() for a in real(dims))
-        corrupt(np.asarray(dims, dtype=np.int64), M, S)
+    def tables(spec, *dtype):
+        M, S = real(spec, *dtype)
+        corrupt(M, S, spec.local)
         return M, S
 
-    monkeypatch.setattr(parenthesization, "_interval_tables", tables)
+    monkeypatch.setattr(module, "_interval_dp", tables)
 
 
 def _skew_stage(hs, registers):
@@ -131,14 +141,14 @@ def _wrong_decision(cand, arg):
     arg[0] = (arg[0] + 1) % cand.shape[1]
 
 
-def _wrong_cost(r, M, S):
-    M[1, r.size - 1] += 1
+def _wrong_cost(M, S, local):
+    M[1, len(M) - 2] += 1
 
 
-def _wrong_split(r, M, S):
-    n = r.size - 1
-    cost = [M[1, k] + M[k + 1, n] + r[0] * r[k] * r[n] for k in range(1, n)]
-    S[1, n] = 1 + next(k for k, c in enumerate(cost) if c != M[1, n])
+def _wrong_split(M, S, local):
+    m = len(M) - 2
+    cost = [M[1, k] + M[k + 1, m] + local(1, m, k) for k in range(1, m)]
+    S[1, m] = 1 + next(k for k, c in enumerate(cost) if c != M[1, m])
 
 
 MUTATIONS = {
@@ -203,6 +213,17 @@ class TestMutationsAreCaught:
             return
         rep = solve(problem, prefer=prefer, backend="rtl")
         assert (rep.validated, rep.validation) == (True, "oracle")
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_cost, _wrong_split])
+@pytest.mark.parametrize("transfer", ["broadcast", "systolic"])
+def test_obst_certificate_rejects_a_perturbed_table(corrupt, transfer, monkeypatch):
+    spec = ObstSpec(*random_obst_weights(np.random.default_rng(3), 7))
+    array = TriangularArray(transfer)
+    assert array.run(spec, backend="fast").certified is True
+    assert array.run(spec, backend="auto").certified is True
+    _patch_tables(monkeypatch, corrupt, triangular)
+    assert array.run(spec, backend="fast").certified is False
 
 
 def _skew_late_stage(hs, registers):

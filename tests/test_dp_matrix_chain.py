@@ -45,6 +45,41 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_matrix_chain([5, 0, 3])
 
+    def test_non_integral_dims_rejected_everywhere(self):
+        # (2.9, 3.5, 4) used to truncate to (2, 3, 4) and cost 24 silently.
+        from repro import MatrixChainProblem
+        from repro.systolic import (
+            BroadcastParenthesizer,
+            MatrixChainSpec,
+            SystolicParenthesizer,
+        )
+
+        for bad in [(2.9, 3.5, 4), (2, np.float64(3.5), 4), (2, float("nan"), 4)]:
+            for entry in (
+                solve_matrix_chain,
+                BroadcastParenthesizer().run,
+                SystolicParenthesizer("fast").run,
+                MatrixChainProblem,
+                MatrixChainSpec,
+            ):
+                with pytest.raises(ValueError, match="integers"):
+                    entry(bad)
+        # NumPy integers and integral floats are integers.
+        assert solve_matrix_chain(np.array([2, 3, 4], dtype=np.int32)).cost == 24
+        assert solve_matrix_chain((2.0, np.int64(3), 4)).dims == (2, 3, 4)
+
+    def test_dims_whose_costs_overflow_int64_rejected(self):
+        # 3e6³ used to wrap to 8553255926290448384, which rtl reported validated.
+        from repro import MatrixChainProblem
+        from repro.systolic import MatrixChainSpec
+
+        for entry in (solve_matrix_chain, MatrixChainProblem, MatrixChainSpec):
+            with pytest.raises(ValueError, match="overflow"):
+                entry((3_000_000,) * 3)
+        big = 2**21 - 1  # one multiplication of (2^21 - 1)³ < 2^63 still fits
+        assert solve_matrix_chain((big,) * 3).cost == big**3
+        assert solve_matrix_chain((10**9, 10**9)).cost == 0  # no multiplication
+
 
 class TestBruteForceAgreement:
     def test_matches_dp_on_randoms(self, rng):

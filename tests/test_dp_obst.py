@@ -61,6 +61,21 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_obst([-0.1], [0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["p", "q"])
+    def test_non_finite_weights_rejected(self, bad, where):
+        # NaN used to pass and return cost = nan on every backend.
+        from repro.systolic import ObstSpec
+
+        p, q = [0.3, 0.2], [0.1, 0.2, 0.2]
+        if where == "p":
+            p[1] = bad
+        else:
+            q[0] = bad
+        for entry in (solve_obst, ObstSpec, brute_force_obst):
+            with pytest.raises(ValueError, match="finite"):
+                entry(p, q)
+
 
 class TestOracle:
     def test_depth_cost_rejects_bad_tree(self):

@@ -224,6 +224,15 @@ def test_triangular_guard_raises_systolic_error():
     assert isinstance(info.value, RuntimeError)
 
 
+@pytest.mark.parametrize("backend", ["fast", "auto"])
+def test_generic_spec_on_fast_raises_type_error(backend):
+    # Only interval specs have a fast path; nothing switches to rtl silently.
+    with pytest.raises(TypeError, match="IntervalSpec"):
+        TriangularArray().run(_OrphanSpec(), backend=backend)
+    with pytest.raises(TypeError, match="IntervalSpec"):
+        TriangularArray(backend=backend).run(_OrphanSpec())
+
+
 def test_lint_flags_the_staged_list_as_register_internal():
     from repro.analysis.static_check import check_source
 

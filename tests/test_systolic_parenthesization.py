@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from repro.dp import solve_matrix_chain
 from repro.systolic import (
     BroadcastParenthesizer,
+    MatrixChainSpec,
     SystolicParenthesizer,
     t_d_recurrence,
     t_p_recurrence,
 )
-from repro.systolic.parenthesization import _interval_tables
+from repro.systolic.triangular import _interval_dp
 
 
 class TestRecurrences:
@@ -161,7 +162,7 @@ def test_interval_tables_match_triple_loop(tie_heavy):
     for n in range(1, 41):
         # Dims in 1..3 make many splits cost the same.
         dims = tuple(int(d) for d in rng.integers(1, 4 if tie_heavy else 60, n + 1))
-        M, S = _interval_tables(dims)
+        M, S = _interval_dp(MatrixChainSpec(dims), np.int64)
         ref_m, ref_s = _eq6_triple_loop(dims)
         assert M.tolist() == ref_m, dims
         assert S.tolist() == ref_s, dims

@@ -250,5 +250,37 @@ def test_rtl_stream_matches_golden(case, traced):
     run = arr.run(spec, backend="rtl", record_trace=traced)
     assert _digest(run) == GOLDEN[case][traced]
     fast = arr.run(spec, backend="fast")
+    assert fast.certified
     assert run.completion == fast.completion
-    assert run.values == pytest.approx(fast.values)
+    assert run.values == fast.values
+
+
+@pytest.mark.parametrize(
+    "transfer, engine",
+    [("broadcast", BroadcastParenthesizer), ("systolic", SystolicParenthesizer)],
+)
+def test_fast_array_and_parenthesizer_share_one_schedule(transfer, engine):
+    rng = np.random.default_rng(21)
+    for n in range(1, 25):
+        dims = [int(d) for d in rng.integers(1, 40, size=n + 1)]
+        run = TriangularArray(transfer, backend="fast").run(MatrixChainSpec(dims))
+        paren = engine("fast").run(dims)
+        assert run.completion == paren.subproblem_completion
+        assert run.steps == paren.steps
+        assert run.report.serial_ops == paren.report.serial_ops
+        assert run.value == paren.order.cost
+        assert run.certified and paren.certified
+
+
+class _NoSubproblems(ObstSpec):
+    def subproblems(self):
+        raise AssertionError("the fast path must not enumerate alternatives")
+
+
+def test_fast_path_never_enumerates_subproblems():
+    p, q = random_obst_weights(np.random.default_rng(8), 9)
+    for transfer in ("broadcast", "systolic"):
+        fast = TriangularArray(transfer).run(_NoSubproblems(p, q), backend="fast")
+        rtl = TriangularArray(transfer).run(ObstSpec(p, q), backend="rtl")
+        assert fast.certified
+        assert (fast.value, fast.completion) == (rtl.value, rtl.completion)
