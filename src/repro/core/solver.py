@@ -546,18 +546,21 @@ def _solve_dnc(
 ) -> SolveReport:
     """Section-4 divide-and-conquer over ``graph``'s matrix string.
 
-    The value is the right-to-left mat-vec chain, Θ(N·m²) and in the
-    sum order of :func:`~repro.dp.solve_backward`; ``solution`` is its
-    per-source vector.  ``detail`` is the eq.-29 schedule of ``K``
+    The value is the right-to-left mat-vec chain over the graph's cost
+    blocks, Θ(N·m²) and in the sum order of
+    :func:`~repro.dp.solve_backward`; ``solution`` is its per-source
+    vector.  ``detail`` is the eq.-29 schedule of ``K``
     arrays.  On ``fast``/``auto`` it is symbolic and the chain's stage
     vectors are certified (:func:`~repro.dp.certificate.certify_backward`);
     on ``rtl`` it is the executed Θ(N·m³) product, which must agree with
     the chain, and ``oracle()`` is the reference.
     """
     sr = graph.semiring
+    blocks = graph.cost_blocks
     vec = sr.ones(graph.stage_sizes[-1])
-    chain = _matvec_chain(sr, graph.costs, vec)
-    value = chain[0]
+    runs = _matvec_chain(sr, blocks, vec)
+    # A copy, so a cached report does not keep the chain's stage stack alive.
+    value = runs[0][0][0].copy()
     optimum = float(sr.add_reduce(value, axis=None))
 
     n = graph.num_layers
@@ -574,7 +577,7 @@ def _solve_dnc(
         validation = "oracle"
     else:
         reference = optimum
-        validated = bool(certify_backward(sr, graph.costs, vec, chain))
+        validated = bool(certify_backward(sr, blocks, vec, runs))
         validation = "certificate"
         sched = simulate_chain_product(n, k)
     return SolveReport(

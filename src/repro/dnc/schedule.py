@@ -26,6 +26,7 @@ result against the sequential chain product.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -120,23 +121,39 @@ def simulate_chain_product(
     are actually executed over ``semiring`` and the final product is
     returned for validation; otherwise only the schedule is simulated
     (segments tracked symbolically), which is what the Figure-6 sweep
-    uses for ``N = 4096``.
+    uses for ``N = 4096``.  A symbolic schedule is computed once per
+    ``(n, k, policy)`` and shared.
     """
     if n < 1:
         raise ValueError("need at least one matrix")
     if k < 1:
         raise ValueError("need at least one processor")
-    if matrices is not None and len(matrices) != n:
+    if matrices is None:
+        return _symbolic_schedule(n, k, policy)
+    if len(matrices) != n:
         raise ValueError(f"expected {n} matrices, got {len(matrices)}")
+    # Copies: a one-matrix chain's product is its input, and making the
+    # result read-only must leave the caller's matrix writable.
+    segments = [np.array(m, dtype=semiring.dtype) for m in matrices]
+    return _schedule(n, k, policy, segments, semiring)
 
-    segments: list[np.ndarray | None]
-    if matrices is not None:
-        # Copies: a one-matrix chain's product is its input, and making
-        # the result read-only must leave the caller's matrix writable.
-        segments = [np.array(m, dtype=semiring.dtype) for m in matrices]
-    else:
-        segments = [None] * n
 
+@functools.lru_cache(maxsize=128)
+def _symbolic_schedule(n: int, k: int, policy: str) -> ChainScheduleResult:
+    """The schedule with segments tracked symbolically, once per
+    ``(n, k, policy)``: the result is frozen, ``busy_per_round`` a tuple
+    and ``product`` ``None``, so every caller can share it."""
+    return _schedule(n, k, policy, [None] * n, MIN_PLUS)
+
+
+def _schedule(
+    n: int,
+    k: int,
+    policy: str,
+    segments: list[np.ndarray | None],
+    semiring: Semiring,
+) -> ChainScheduleResult:
+    """Reduce ``segments`` (matrices, or ``None`` placeholders) round by round."""
     busy: list[int] = []
     while len(segments) > 1:
         pairs = _pair_indices(len(segments), k, policy)

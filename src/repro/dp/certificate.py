@@ -13,9 +13,9 @@ over all stages at once, where the kernel had to go stage by stage:
   candidates and the traced path attains it.
 * :func:`certify_backward` — eq. (1), the right-to-left mat-vec chain
   of the Fig. 3 array and the divide-and-conquer route:
-  ``v_k == ⊕_j C_k[:, j] ⊗ v_{k+1}[j]`` for every stage, checked on runs
-  of same-shape layers.  The chain keeps no decisions, so this one
-  recomputes the ⊕, but for all stages at once.
+  ``v_k == ⊕_j C_k[:, j] ⊗ v_{k+1}[j]`` for every stage, checked on each
+  stacked block of same-shape layers.  The chain keeps no decisions, so
+  this one recomputes the ⊕, but for all stages of a block at once.
 * :func:`certify_interval` — eq. (6) and OBST, the Section-6.2 arrays:
   every cell of an interval table equals
   ``min_k V[x,k] + V[k+1,y] + local(x, y, k)`` for the recurrence's
@@ -62,26 +62,16 @@ def require_argreduce(sr: Semiring) -> None:
         raise ValueError(f"semiring {sr.name!r} does not support decision extraction")
 
 
-def _chunks(start: int, stop: int, per_item: int) -> Iterator[tuple[int, int]]:
-    """``[a, b)`` ranges covering ``[start, stop)`` within the element budget."""
+def _chunks(stop: int, per_item: int) -> Iterator[tuple[int, int]]:
+    """``[a, b)`` ranges covering ``[0, stop)`` within the element budget."""
     step = max(1, CHUNK_ELEMENTS // max(per_item, 1))
-    for a in range(start, stop, step):
+    for a in range(0, stop, step):
         yield a, min(a + step, stop)
-
-
-def _stages(layers: Sequence[np.ndarray] | np.ndarray, a: int, b: int) -> np.ndarray:
-    """Layers ``a..b-1`` on a leading stage axis: a view of an already
-    stacked ``(L, …)`` array, a stacked copy of a sequence.  ``np.array``
-    stacks a list of same-shape arrays in one C loop (``np.stack`` makes
-    a view per item first)."""
-    if isinstance(layers, np.ndarray):
-        return layers[a:b]
-    return np.array(layers[a:b])
 
 
 def certify_forward(
     sr: Semiring,
-    layers: Sequence[np.ndarray] | np.ndarray,
+    layers: np.ndarray,
     hs: np.ndarray,
     registers: np.ndarray,
     optima: np.ndarray,
@@ -89,11 +79,12 @@ def certify_forward(
 ) -> np.ndarray:
     """Certify a forward sweep ``h_{k+1}[j] = ⊕_i h_k[i] ⊗ C_k[i, j]``.
 
-    ``layers`` are the ``L`` cost layers, each ``(…, m, m)`` (or one
-    ``(L, …, m, m)`` array); ``hs`` is the ``(L+1, …, m)`` stack of stage
-    vectors with ``hs[0] = 1̄``; ``registers`` the ``(L, …, m)`` path
-    registers; ``optima`` and ``winners`` the ``(…)`` final fold and its
-    winning index.  Returns the ``(…)`` boolean verdict.
+    ``layers`` is the ``(L, …, m, m)`` stack of cost layers (a problem's
+    cost block, or a batch of them stage-major); ``hs`` is the
+    ``(L+1, …, m)`` stack of stage vectors with ``hs[0] = 1̄``;
+    ``registers`` the ``(L, …, m)`` path registers; ``optima`` and
+    ``winners`` the ``(…)`` final fold and its winning index.  Returns the
+    ``(…)`` boolean verdict.
     """
     require_argreduce(sr)
     optima, winners = np.asarray(optima), np.asarray(winners)
@@ -103,8 +94,8 @@ def certify_forward(
     ok &= np.take_along_axis(final, winners[..., None], axis=-1)[..., 0] == optima
     m = hs.shape[-1]
     per_stage = math.prod(hs.shape[1:-1]) * m * m
-    for a, b in _chunks(0, len(registers), per_stage):
-        cand = sr.raw_mul(hs[a:b, ..., :, None], _stages(layers, a, b))
+    for a, b in _chunks(len(registers), per_stage):
+        cand = sr.raw_mul(hs[a:b, ..., :, None], layers[a:b])
         nxt = hs[a + 1 : b + 1, ..., None, :]
         beaten = sr.add(nxt, cand) != nxt
         reached = np.take_along_axis(cand, registers[a:b, ..., None, :], axis=-2) == nxt
@@ -114,35 +105,30 @@ def certify_forward(
 
 def certify_backward(
     sr: Semiring,
-    mats: Sequence[np.ndarray],
+    blocks: Sequence[np.ndarray],
     vec: np.ndarray,
-    values: Sequence[np.ndarray],
+    runs: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """Certify a right-to-left chain ``v_k = ⊕_j C_k[:, j] ⊗ v_{k+1}[j]``.
 
-    ``mats`` are the ``L`` operands, each ``(…, rows, cols)``; ``values``
-    the ``L + 1`` stage vectors the chain kept, ``values[L]`` being the
-    sink vector ``vec``.  Consecutive same-shape layers are checked
-    together, each ``C_k`` transposed so the ⊕ over ``j`` folds whole
-    rows instead of running along short ones.  That changes the order
-    of the ⊕, which is exact only for a ⊕ that selects an operand, so
-    the semiring needs an arg-reduction.  Returns the ``(…)`` boolean
-    verdict.
+    ``blocks`` are the operands, one ``(n, …, rows, cols)`` stack per run
+    of same-shape layers; ``runs`` the chain's ``(values, inputs)`` per
+    block (:func:`repro.systolic.pipelined_array._matvec_chain`), where
+    ``values[j]`` is the stage vector layer ``j`` of the block produced
+    and ``inputs[j]`` the one it read; the last input is the sink vector
+    ``vec``.  Each chunk of a block is transposed once, so the ⊕ over
+    ``j`` folds whole rows instead of running along short ones.  That
+    changes the order of the ⊕, which is exact only for a ⊕ that
+    selects an operand, so the semiring needs an arg-reduction.  Returns
+    the ``(…)`` boolean verdict.
     """
     require_argreduce(sr)
-    ok = np.all(values[-1] == vec, axis=-1)
-    start, count = 0, len(mats)
-    while start < count:
-        shape = mats[start].shape
-        stop = start + 1
-        while stop < count and mats[stop].shape == shape:
-            stop += 1
-        for a, b in _chunks(start, stop, math.prod(shape)):
-            flipped = np.array([np.swapaxes(c, -1, -2) for c in mats[a:b]])
-            nxt = np.array(values[a + 1 : b + 1])
-            got = sr.add_reduce(sr.raw_mul(flipped, nxt[..., :, None]), axis=-2)
-            ok &= np.all(got == np.array(values[a:b]), axis=(0, -1))
-        start = stop
+    ok = np.all(runs[-1][1][-1] == vec, axis=-1)
+    for block, (values, inputs) in zip(blocks, runs):
+        for a, b in _chunks(len(block), math.prod(block.shape[1:])):
+            flipped = np.ascontiguousarray(np.swapaxes(block[a:b], -1, -2))
+            got = sr.add_reduce(sr.raw_mul(flipped, inputs[a:b, ..., :, None]), axis=-2)
+            ok &= np.all(got == values[a:b], axis=(0, -1))
     return np.asarray(ok)
 
 
@@ -169,7 +155,7 @@ def certify_interval(
     idx = np.arange(1, m + 1)
     below = table[2 : m + 2, 1 : m + 1].T  # [y-1, k-1] = V[k+1, y]
     never = np.inf if table.dtype.kind == "f" else np.iinfo(table.dtype).max
-    for a, b in _chunks(0, m, m * m):
+    for a, b in _chunks(m, m * m):
         x = idx[a:b, None, None]
         # cost[x, y, k] of splitting leaves x … y after leaf k.
         cost = cells[a:b, None, :] + below[None] + local(x, idx[:, None], idx)

@@ -2,15 +2,17 @@
 
 A digest is a SHA-256 over a canonical byte serialization of everything
 that determines a problem's answer: the problem kind, the semiring, the
-shape, and the cost data.  Two problems with equal digests are
-interchangeable as far as :func:`repro.core.solver.solve` is concerned.
+shape, and the cost data, hashed one cost block at a time (a block is
+a maximal run of same-shape layers, so the blocks follow from the
+content alone).  Two problems with equal digests are interchangeable as
+far as :func:`repro.core.solver.solve` is concerned.
 
 Node-value problems are digested through their *materialized* cost
 matrices — the paper's own eq.-(4) equivalence between the node-value
 and edge-cost forms — because the ``edge_cost`` callable itself has no
 canonical byte form.  A node-value problem owns read-only copies of its
-values and builds its cost layers once, and an edge-cost graph owns
-read-only copies of its costs, so neither digest can go stale: each is
+values and builds its cost blocks once, and an edge-cost graph owns
+read-only blocks of its costs, so neither digest can go stale: each is
 computed once per problem and memoized on it.  Problems with no
 canonical serialization (general nonserial objectives, whose terms are
 arbitrary callables) digest to ``None`` and are simply never cached.
@@ -47,8 +49,8 @@ def _node_value_digest(problem: NodeValueProblem) -> str:
         _update_array(h, v)
     # Eq.-4 equivalence: the materialized edge costs are the canonical
     # content of the stage cost function.
-    for k in range(problem.num_stages - 1):
-        _update_array(h, problem.cost_matrix(k))
+    for block in problem.cost_blocks:
+        _update_array(h, block)
     return h.hexdigest()
 
 
@@ -56,8 +58,8 @@ def _graph_digest(graph: MultistageGraph) -> str:
     h = hashlib.sha256()
     h.update(b"multistage_graph\x00")
     h.update(graph.semiring.name.encode())
-    for c in graph.costs:
-        _update_array(h, c)
+    for block in graph.cost_blocks:
+        _update_array(h, block)
     return h.hexdigest()
 
 

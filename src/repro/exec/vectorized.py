@@ -13,7 +13,8 @@ instances instead of one:
   :mod:`repro.systolic.pipelined_array`: the broadcast-then-reduce of
   :func:`repro.semiring.batched_matvec` with the raw ⊗ of checked costs.
 
-``solve()`` runs the same kernel body on 2-D operands, so a batch row
+``solve()`` runs the same kernel body on one problem's cost blocks,
+and a batch on the members' blocks stacked stage-major, so a batch row
 is bit-identical to a looped ``solve(backend="fast")`` — optimum, traced
 path and closed-form counters included (the cross-backend fuzz suite
 asserts exact equality).  This module holds only the plumbing around
@@ -29,7 +30,7 @@ so every row is validated by the same check as a
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from ..dp.certificate import require_argreduce
 from ..graphs import MultistageGraph, NodeValueProblem
 from ..systolic.feedback_array import _fast_kernel as feedback_kernel
 from ..systolic.pipelined_array import _fast_kernel as pipelined_kernel
+from ..systolic.pipelined_array import _operands
 from .grouping import Group
 
 __all__ = ["prepare_payload", "run_payload"]
@@ -55,12 +57,20 @@ def prepare_payload(group: Group) -> dict[str, Any]:
     raise ValueError(f"group kind {group.kind!r} has no vectorized payload")
 
 
+def _stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The members' ``(n, rows, cols)`` blocks as one stage-major
+    ``(n, B, rows, cols)`` array, so each stage's ``(B, rows, cols)``
+    slice is contiguous for the kernel: ``np.stack(blocks, axis=1)``,
+    as one concatenation along the row axis, without a view per block."""
+    n, rows, cols = blocks[0].shape
+    return np.concatenate(blocks, axis=1).reshape(n, len(blocks), rows, cols)
+
+
 def _prepare_feedback(group: Group) -> dict[str, Any]:
     problems: list[NodeValueProblem] = group.problems
     first = problems[0]
-    # One stacking op over every problem's memoized layers, stage-major so
-    # each stage's (B, m, m) block is contiguous for the kernel.
-    layers = np.array(list(zip(*(p._cost_layers for p in problems))))
+    # A uniform problem has one cost block.
+    layers = _stack([p.cost_blocks[0] for p in problems])
     return {
         "kind": "feedback",
         "semiring": first.semiring,
@@ -74,15 +84,12 @@ def _prepare_pipelined(group: Group) -> dict[str, Any]:
     problems: list[MultistageGraph] = group.problems
     first = problems[0]
     targets = [_frame(g) for g in problems]
-    num_layers = targets[0].num_layers
-    mats = [
-        np.stack([np.asarray(t.costs[k]) for t in targets])
-        for k in range(num_layers)
-    ]
+    # Members share their stage sizes, so their cost blocks line up.
+    mats = [_stack(run) for run in zip(*(t.cost_blocks for t in targets))]
     return {
         "kind": "pipelined",
         "semiring": first.semiring,
-        "mats": mats,  # list of (B, rows, cols); last is the (B, m, 1) sink column
+        "mats": mats,  # (n, B, rows, cols) per block; the last layer is the sink column
         "recommendation": group.recommendation,
         "problem": first,
     }
@@ -103,9 +110,9 @@ def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
     if kind == "feedback":
         results = feedback_kernel(sr, sr.asarray(payload["layers"]))
     elif kind == "pipelined":
-        mats = [sr.asarray(a) for a in payload["mats"]]
-        # As ``_normalize_string``: the last operand is the sink column.
-        results = pipelined_kernel(sr, mats[:-1], mats[-1][..., 0])
+        blocks = [sr.asarray(a) for a in payload["mats"]]
+        # As ``run_graph``: the last layer is the sink column.
+        results = pipelined_kernel(sr, _operands(blocks), blocks[-1][-1, ..., 0])
     else:
         raise ValueError(f"unknown payload kind {kind!r}")
     rec, problem = payload["recommendation"], payload["problem"]

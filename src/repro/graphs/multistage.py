@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def _has_nan(a: np.ndarray) -> bool:
 
 
 def check_cost_layers(
-    sr: Semiring, layers: Sequence[np.ndarray], source: str
+    sr: Semiring, layers: Iterable[np.ndarray], source: str
 ) -> None:
     """Check cost layers once, where they enter; raise :class:`GraphError`.
 
@@ -83,19 +83,24 @@ def check_cost_layers(
         raise GraphError(f"{source} costs whose path sums overflow under {sr.name}")
 
 
-def _owned_read_only(sr: Semiring, c: Any) -> np.ndarray:
-    """``c`` as a read-only array the graph owns: shared when it already
-    is one, copied otherwise, so later edits by the caller cannot reach it."""
-    if (
-        isinstance(c, np.ndarray)
-        and c.dtype == sr.dtype
-        and c.flags.owndata
-        and not c.flags.writeable
-    ):
-        return c
-    out = np.array(c, dtype=sr.dtype)
-    out.setflags(write=False)
-    return out
+def _frozen(block: np.ndarray) -> np.ndarray:
+    block.setflags(write=False)
+    return block
+
+
+def _blocks_of(sr: Semiring, layers: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One read-only ``(n, rows, cols)`` copy per maximal run of same-shape
+    layers: each run is stacked in one ``np.array`` copy, so the caller's
+    arrays are never aliased."""
+    return tuple(
+        _frozen(np.array(list(run), dtype=sr.dtype))
+        for _, run in itertools.groupby(layers, key=np.shape)
+    )
+
+
+def _views(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Every layer of ``blocks``, in order, as a read-only view."""
+    return tuple(itertools.chain.from_iterable(blocks))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,9 +114,11 @@ class MultistageGraph:
         ``k + 1`` with shape ``(size of stage k, size of stage k + 1)``;
         entry ``(i, j)`` is the cost of the edge from node ``i`` of stage
         ``k`` to node ``j`` of stage ``k + 1``.  ``semiring.zero``
-        (``+inf`` for min-plus) encodes a missing edge.  The graph keeps
-        read-only copies (an array that is already read-only and owns its
-        data is shared), checked by :func:`check_cost_layers`.
+        (``+inf`` for min-plus) encodes a missing edge.  The graph copies
+        each maximal run of same-shape layers once into one read-only,
+        C-contiguous block it owns (:attr:`cost_blocks`) and keeps
+        ``costs`` as read-only views into those blocks, checked by
+        :func:`check_cost_layers`.
     semiring:
         The cost algebra; min-plus by default (shortest path).
 
@@ -124,7 +131,8 @@ class MultistageGraph:
     def __post_init__(self) -> None:
         if not self.costs:
             raise GraphError("a multistage graph needs at least one edge layer")
-        mats = tuple(_owned_read_only(self.semiring, c) for c in self.costs)
+        sr = self.semiring
+        mats = [np.asarray(c) for c in self.costs]
         for k, c in enumerate(mats):
             if c.ndim != 2:
                 raise GraphError(f"costs[{k}] must be 2-D, got shape {c.shape}")
@@ -136,13 +144,40 @@ class MultistageGraph:
                     f"stage-size mismatch between layers {k} and {k + 1}: "
                     f"{mats[k].shape} then {mats[k + 1].shape}"
                 )
-        check_cost_layers(self.semiring, mats, "costs contain")
-        object.__setattr__(self, "costs", mats)
+        blocks = _blocks_of(sr, mats)
+        costs = _views(blocks)
+        check_cost_layers(sr, costs, "costs contain")
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "_blocks", blocks)
+
+    @classmethod
+    def _adopt(
+        cls,
+        blocks: tuple[np.ndarray, ...],
+        costs: tuple[np.ndarray, ...],
+        semiring: Semiring,
+    ) -> "MultistageGraph":
+        """A graph over blocks built and checked elsewhere
+        (:meth:`NodeValueProblem.to_graph`): no copy and no second check."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "costs", costs)
+        object.__setattr__(graph, "semiring", semiring)
+        object.__setattr__(graph, "_blocks", blocks)
+        return graph
 
     def __reduce__(self) -> tuple[Any, ...]:
         # Copies and unpickled graphs go through the constructor, so they
-        # own read-only costs and start without a memoized digest.
+        # own fresh blocks and start without a memoized digest or sizes.
         return (type(self), (self.costs, self.semiring))
+
+    @property
+    def cost_blocks(self) -> tuple[np.ndarray, ...]:
+        """The read-only, C-contiguous ``(n, rows, cols)`` blocks the graph
+        owns, one per maximal run of same-shape layers, source side first:
+        one for a uniform graph, three for a ``[1, m, …, m, 1]`` graph, one
+        per layer for a ragged one.  Every entry of ``costs`` is a view
+        into one of them."""
+        return self._blocks
 
     # ------------------------------------------------------------------
     # Shape queries
@@ -157,10 +192,11 @@ class MultistageGraph:
         """Number of edge layers between adjacent stages."""
         return len(self.costs)
 
-    @property
+    @functools.cached_property
     def stage_sizes(self) -> tuple[int, ...]:
         """Vertex count of every stage, source side first."""
-        return tuple(c.shape[0] for c in self.costs) + (self.costs[-1].shape[1],)
+        sizes = [s for b in self.cost_blocks for s in [b.shape[1]] * len(b)]
+        return (*sizes, self.cost_blocks[-1].shape[2])
 
     @property
     def is_single_source_sink(self) -> bool:
@@ -247,8 +283,7 @@ class MultistageGraph:
     def reversed(self) -> "MultistageGraph":
         """The same graph traversed sink→source (matrices transposed, reversed)."""
         return MultistageGraph(
-            costs=tuple(c.T.copy() for c in reversed(self.costs)),
-            semiring=self.semiring,
+            costs=tuple(c.T for c in reversed(self.costs)), semiring=self.semiring
         )
 
 
@@ -323,25 +358,33 @@ class NodeValueProblem:
         return all(s == sizes[0] for s in sizes)
 
     @functools.cached_property
+    def cost_blocks(self) -> tuple[np.ndarray, ...]:
+        """Every layer's cost matrix, built on first use: one read-only,
+        C-contiguous ``(n, rows, cols)`` block per maximal run of
+        same-shape layers, as :attr:`MultistageGraph.cost_blocks`."""
+        sizes, values = self.stage_sizes, self.values
+        blocks = []
+        k = 0
+        for shape, run in itertools.groupby(zip(sizes, sizes[1:])):
+            block = np.empty((len(list(run)), *shape), dtype=self.semiring.dtype)
+            for layer in block:
+                out = self.edge_cost(values[k][:, None], values[k + 1][None, :])
+                if np.shape(out) != shape:
+                    raise GraphError(
+                        f"edge_cost returned shape {np.shape(out)}, expected {shape}; "
+                        "it must be vectorized over broadcast inputs"
+                    )
+                # A copy: ``edge_cost`` may hand back an array it still owns.
+                layer[...] = out
+                k += 1
+            blocks.append(_frozen(block))
+        check_cost_layers(self.semiring, _views(blocks), "edge_cost returned")
+        return tuple(blocks)
+
+    @functools.cached_property
     def _cost_layers(self) -> tuple[np.ndarray, ...]:
-        """Every layer's cost matrix, built on first use and read-only."""
-        layers = []
-        for k in range(self.num_stages - 1):
-            xk = self.values[k][:, None]
-            xk1 = self.values[k + 1][None, :]
-            # ``np.array`` copies: ``edge_cost`` may hand back an array
-            # it still owns, which must not turn read-only under it.
-            out = np.array(self.edge_cost(xk, xk1), dtype=self.semiring.dtype)
-            expected = (self.values[k].size, self.values[k + 1].size)
-            if out.shape != expected:
-                raise GraphError(
-                    f"edge_cost returned shape {out.shape}, expected {expected}; "
-                    "it must be vectorized over broadcast inputs"
-                )
-            out.setflags(write=False)
-            layers.append(out)
-        check_cost_layers(self.semiring, layers, "edge_cost returned")
-        return tuple(layers)
+        """Every layer's cost matrix, as read-only views into :attr:`cost_blocks`."""
+        return _views(self.cost_blocks)
 
     def cost_matrix(self, k: int) -> np.ndarray:
         """Materialized cost matrix between stage ``k`` and ``k + 1``.
@@ -358,17 +401,16 @@ class NodeValueProblem:
     def to_graph(self) -> MultistageGraph:
         """The equivalent edge-cost multistage graph, built once.
 
-        The graph's costs are the problem's read-only cost layers, so
-        every caller (oracle, divide-and-conquer route, fault harness)
-        shares one graph and one set of layers.
+        The graph adopts the problem's blocks and layer views without a
+        copy, so every caller (oracle, divide-and-conquer route, fault
+        harness) shares one graph and one set of blocks.
         """
         graph: MultistageGraph | None = vars(self).get("_graph")
         if graph is None:
             # Frozen dataclass: the memo goes straight into ``__dict__``,
             # as ``cached_property`` does.
-            graph = vars(self)["_graph"] = MultistageGraph(
-                costs=tuple(self.cost_matrix(k) for k in range(self.num_stages - 1)),
-                semiring=self.semiring,
+            graph = vars(self)["_graph"] = MultistageGraph._adopt(
+                self.cost_blocks, self._cost_layers, self.semiring
             )
         return graph
 

@@ -10,8 +10,6 @@ last matrices degenerate into row and column vectors".
 
 from __future__ import annotations
 
-import numpy as np
-
 from .multistage import MultistageGraph
 
 __all__ = ["add_virtual_terminals"]
@@ -33,7 +31,5 @@ def add_virtual_terminals(graph: MultistageGraph) -> MultistageGraph:
     sizes = graph.stage_sizes
     source_row = sr.ones((1, sizes[0]))
     sink_col = sr.ones((sizes[-1], 1))
-    return MultistageGraph(
-        costs=(source_row,) + tuple(np.copy(c) for c in graph.costs) + (sink_col,),
-        semiring=sr,
-    )
+    # The constructor copies every run of layers into its own block.
+    return MultistageGraph(costs=(source_row, *graph.costs, sink_col), semiring=sr)

@@ -59,9 +59,11 @@ class Semiring:
     one:
         Identity element of ⊗.
     add_reduce:
-        Reduction form of ⊕ along an axis (e.g. ``np.minimum.reduce``).
-        Required so matrix products can be computed as a single reduction
-        over a broadcast temporary instead of a Python loop.
+        Reduction form of ⊕ along an axis (e.g. ``np.minimum.reduce``),
+        called with ``axis=`` and, by the mat-vec chain that writes into
+        a preallocated stack, ``out=``.  Required so matrix products can
+        be computed as a single reduction over a broadcast temporary
+        instead of a Python loop.
     add_argreduce:
         Optional arg-reduction of ⊕ (e.g. :func:`np.argmin`), used for
         decision/traceback extraction.  ``None`` when the semiring has no

@@ -35,6 +35,7 @@ import numpy as np
 from .._readonly import read_only
 from ..dp.certificate import certify_backward
 from ..graphs import MultistageGraph, StagePath, check_cost_layers
+from ..graphs.multistage import _blocks_of
 from ..semiring import MIN_PLUS, Semiring
 from . import pipelined_array
 from .fabric import (
@@ -46,7 +47,7 @@ from .fabric import (
     normalize_backend,
     run_with_backend,
 )
-from .pipelined_array import _normalize_string
+from .pipelined_array import _normalize_string, _operands
 
 __all__ = ["BroadcastArrayResult", "BroadcastMatrixStringArray"]
 
@@ -113,33 +114,35 @@ def _arg_registers(sr: Semiring, cand: np.ndarray) -> np.ndarray:
 
 
 def _fast_kernel(
-    sr: Semiring, mats: list[np.ndarray], vec: np.ndarray, track_decisions: bool
+    sr: Semiring, blocks: list[np.ndarray], vec: np.ndarray, track_decisions: bool
 ) -> BroadcastArrayResult:
-    """The fast backend: Fig. 3's mat-vec chain, certified by
-    :func:`~repro.dp.certificate.certify_backward`.  With
-    ``track_decisions``, each phase adds one raw ⊗ and one arg-reduction
-    over the stage vector the chain kept, and the verdict also requires
-    every decision to attain its stage value (the attainment half of
-    :func:`~repro.dp.certificate.certify_forward`)."""
-    chain = pipelined_array._matvec_chain(sr, mats, vec)
+    """The fast backend: Fig. 3's mat-vec chain over the operand
+    ``blocks``, certified by :func:`~repro.dp.certificate.certify_backward`.
+    With ``track_decisions``, each phase adds one raw ⊗ and one
+    arg-reduction over the stage vector the chain kept, and the verdict
+    also requires every decision to attain its stage value (the
+    attainment half of :func:`~repro.dp.certificate.certify_forward`)."""
+    runs = pipelined_array._matvec_chain(sr, blocks, vec)
     certified = None
     if sr.add_argreduce is not None:
-        certified = bool(certify_backward(sr, mats, vec, chain))
+        certified = bool(certify_backward(sr, blocks, vec, runs))
     decisions: list[np.ndarray] = []
     if track_decisions:
-        for k in reversed(range(len(mats))):  # phase order: sink side first
-            cand = sr.raw_mul(mats[k], chain[k + 1])
-            arg = _arg_registers(sr, cand)
-            attained = np.take_along_axis(cand, arg[:, None], axis=1)[:, 0] == chain[k]
-            certified = bool(certified and np.all(attained))
-            decisions.append(arg)
-    rows, m = mats[0].shape[0], vec.size
-    value = chain[0]
+        # Phase order: sink side first.
+        for block, (values, inputs) in zip(reversed(blocks), reversed(runs)):
+            for mat, x, v in zip(block[::-1], inputs[::-1], values[::-1]):
+                cand = sr.raw_mul(mat, x)
+                arg = _arg_registers(sr, cand)
+                attained = np.take_along_axis(cand, arg[:, None], axis=1)[:, 0] == v
+                certified = bool(certified and np.all(attained))
+                decisions.append(arg)
+    rows, m = blocks[0].shape[-2], vec.size
+    value = runs[0][0][0].copy()  # not a view that keeps the stage stack alive
     if rows == 1 and m > 1:
         value = sr.asarray(float(value[0]))
     return BroadcastArrayResult(
         value=value,
-        report=_fast_report(len(mats), rows, m),
+        report=_fast_report(sum(len(b) for b in blocks), rows, m),
         decisions=tuple(decisions) if track_decisions else None,
         certified=certified,
     )
@@ -191,9 +194,9 @@ class BroadcastMatrixStringArray:
         mats, vec, m = _normalize_string(self.sr, matrices)
         check_cost_layers(self.sr, [*mats, vec], "matrices contain")
         return self._run_string(
-            mats, vec, m, track_decisions=track_decisions, record_trace=record_trace,
-            backend=backend, sinks=sinks, injector=injector, observe=observe,
-            strict=strict,
+            mats, vec, m, _blocks_of(self.sr, mats), track_decisions=track_decisions,
+            record_trace=record_trace, backend=backend, sinks=sinks, injector=injector,
+            observe=observe, strict=strict,
         )
 
     def _run_string(
@@ -201,13 +204,15 @@ class BroadcastMatrixStringArray:
         mats: list[np.ndarray],
         vec: np.ndarray,
         m: int,
+        blocks: list[np.ndarray],
         *,
         backend: str | None,
         track_decisions: bool = False,
         **cycle: Any,
     ) -> BroadcastArrayResult:
-        """:meth:`run` on a normalized string whose costs are checked;
-        ``cycle`` holds its cycle-level keywords."""
+        """:meth:`run` on a normalized string whose costs are checked, as
+        layers ``mats`` (rtl) and as ``blocks`` (fast); ``cycle`` holds its
+        cycle-level keywords."""
         sr = self.sr
         resolved = normalize_backend(backend, self.backend)
         if track_decisions and sr.add_argreduce is None:
@@ -219,7 +224,7 @@ class BroadcastMatrixStringArray:
             rtl=lambda **kw: self._run_rtl(
                 mats, vec, m, track_decisions=track_decisions, **kw
             ),
-            fast=lambda: _fast_kernel(sr, mats, vec, track_decisions),
+            fast=lambda: _fast_kernel(sr, blocks, vec, track_decisions),
             design=self.design_name,
             **cycle,
         )
@@ -363,8 +368,8 @@ class BroadcastMatrixStringArray:
         """Evaluate a single-sink multistage graph (backward formulation).
 
         The graph's costs are read-only and were checked when it was
-        built, so they go to the array as they are: no copy and no
-        second check.
+        built, so they go to the array as they are, the fast kernel
+        reading the graph's cost blocks: no copy and no second check.
         """
         return self._run_string(
             *self._graph_string(graph), backend=backend, sinks=sinks,
@@ -373,11 +378,11 @@ class BroadcastMatrixStringArray:
 
     def _graph_string(
         self, graph: MultistageGraph
-    ) -> tuple[list[np.ndarray], np.ndarray, int]:
+    ) -> tuple[list[np.ndarray], np.ndarray, int, list[np.ndarray]]:
         """``graph``'s cost string, normalized for :meth:`_run_string`."""
         if graph.semiring.name != self.sr.name:
             raise SystolicError("graph and array use different semirings")
-        return _normalize_string(self.sr, graph.costs)
+        return (*_normalize_string(self.sr, graph.costs), _operands(graph.cost_blocks))
 
     def run_graph_with_path(
         self,

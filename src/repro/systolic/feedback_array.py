@@ -50,7 +50,7 @@ engine (:mod:`repro.exec.vectorized`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
@@ -152,9 +152,7 @@ def _fast_report(n_stages: int, m: int) -> RunReport:
     )
 
 
-def _forward_sweep(
-    sr: Semiring, layers: Sequence[np.ndarray] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _forward_sweep(sr: Semiring, layers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stage recurrence ``h_1 = 1̄``; ``h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j]``.
 
     Returns the ``(N, …, m)`` stack of every stage's ``h`` and the
@@ -163,7 +161,7 @@ def _forward_sweep(
     achieving the folded optimum, the same tie-break as the moving
     pair's strict-improvement update.
     """
-    lead, m = layers[0].shape[:-2], layers[0].shape[-1]
+    lead, m = layers.shape[1:-2], layers.shape[-1]
     hs = np.empty((len(layers) + 1,) + lead + (m,), dtype=float)
     hs[0] = sr.one
     registers = np.empty((len(layers),) + lead + (m,), dtype=np.intp)
@@ -175,14 +173,12 @@ def _forward_sweep(
     return hs, registers
 
 
-def _fast_kernel(
-    sr: Semiring, layers: Sequence[np.ndarray] | np.ndarray
-) -> list[FeedbackArrayResult]:
+def _fast_kernel(sr: Semiring, layers: np.ndarray) -> list[FeedbackArrayResult]:
     """The fast backend on one instance or on a stack of them.
 
-    ``layers`` are the ``N − 1`` cost matrices, each ``(..., m, m)``:
-    2-D for one instance, ``(B, m, m)`` for a stack of ``B`` (or one
-    ``(N − 1, B, m, m)`` array), all checked by
+    ``layers`` stacks the ``N − 1`` cost matrices: ``(N − 1, m, m)`` for
+    one instance (its cost block), ``(N − 1, B, m, m)`` for a stack of
+    ``B``, all checked by
     :func:`~repro.graphs.check_cost_layers`, so ⊗ is the semiring's raw
     form.  :func:`_forward_sweep` runs the recurrence and
     :func:`~repro.dp.certificate.certify_forward` certifies its tables;
@@ -278,7 +274,7 @@ class FeedbackSystolicArray:
             normalize_backend(backend, self.backend),
             work=_serial_ops(n_stages, m),
             rtl=lambda **kw: self._run_rtl(problem, n_stages, m, **kw),
-            fast=lambda: _fast_kernel(sr, problem.to_graph().costs)[0],
+            fast=lambda: _fast_kernel(sr, problem.cost_blocks[0])[0],
             design=self.design_name,
             record_trace=record_trace, sinks=sinks, injector=injector,
             observe=observe, strict=strict,

@@ -45,6 +45,7 @@ import numpy as np
 from .._readonly import read_only
 from ..dp.certificate import certify_backward
 from ..graphs import MultistageGraph, check_cost_layers
+from ..graphs.multistage import _blocks_of
 from ..semiring import MIN_PLUS, Semiring
 from .fabric import (
     RunReport,
@@ -123,26 +124,52 @@ def _normalize_string(
     return mats[:-1], last, m
 
 
+def _operands(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """A graph's cost blocks without its last layer, the sink column: the
+    operands left of the sink vector, as views."""
+    *rest, last = blocks
+    return [*rest, last[:-1]] if len(last) > 1 else rest
+
+
 def _matvec_chain(
-    sr: Semiring, mats: Sequence[np.ndarray], vec: np.ndarray
-) -> list[np.ndarray]:
-    """``mats[0] ⊗ (mats[1] ⊗ (… ⊗ vec))``, right to left, over any leading
-    axes: the Fig. 3 value, and the divide-and-conquer route's value in
+    sr: Semiring, blocks: Sequence[np.ndarray], vec: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``C_0 ⊗ (C_1 ⊗ (… ⊗ vec))``, right to left, over any leading axes:
+    the Fig. 3 value, and the divide-and-conquer route's value in
     :func:`repro.core.solver.solve`.
 
-    Returns every stage vector ``[v_0, …, v_L]`` with ``v_L = vec`` and
-    ``v_0`` the value, the tables
-    :func:`~repro.dp.certificate.certify_backward` checks.  Each step is
-    :func:`~repro.semiring.batched_matvec`'s broadcast and reduction
-    with the raw ⊗, so the operands must have passed
+    ``blocks`` are the operands as stacks of same-shape layers, each
+    ``(n, …, rows, cols)`` with the leading axes ``…`` of ``vec``.
+    Returns one ``(values, inputs)`` pair per block, the tables
+    :func:`~repro.dp.certificate.certify_backward` checks: ``values[j]``
+    is the stage vector layer ``j`` of the block produces, ``inputs[j]``
+    the one it reads, so ``inputs`` of the last block ends with ``vec``
+    and ``runs[0][0][0]`` is the value.  A square block writes its stage
+    vectors into one preallocated ``(n + 1, …, rows)`` array, of which
+    ``values`` and ``inputs`` are views; a non-square block is a single
+    layer.  Each step is
+    :func:`~repro.semiring.batched_matvec`'s broadcast and reduction with
+    the raw ⊗, so the operands must have passed
     :func:`~repro.graphs.check_cost_layers` and have matching shapes.
     """
     mul, reduce = sr.raw_mul, sr.add_reduce
-    values = [vec]
-    for mat in reversed(mats):
-        values.append(reduce(mul(mat, values[-1][..., None, :]), axis=-1))
-    values.reverse()
-    return values
+    runs = []
+    nxt = vec
+    for block in reversed(blocks):
+        rows = block.shape[-2]
+        shape = (*nxt.shape[:-1], rows)
+        if rows == block.shape[-1]:
+            stages = np.empty((len(block) + 1, *shape), dtype=nxt.dtype)
+            stages[-1] = nxt
+            values, inputs = stages[:-1], stages[1:]
+        else:
+            values, inputs = np.empty((1, *shape), dtype=nxt.dtype), nxt[None]
+        for mat, x, out in zip(block[::-1], inputs[::-1, ..., None, :], values[::-1]):
+            reduce(mul(mat, x), axis=-1, out=out)
+        runs.append((values, inputs))
+        nxt = values[0]
+    runs.reverse()
+    return runs
 
 
 def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
@@ -177,34 +204,35 @@ def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
 
 
 def _fast_kernel(
-    sr: Semiring, mats: Sequence[np.ndarray], vec: np.ndarray
+    sr: Semiring, blocks: Sequence[np.ndarray], vec: np.ndarray
 ) -> list[PipelinedArrayResult]:
     """The fast backend on one string or on a stack of same-shape strings.
 
-    ``mats`` are the operands left of the sink vector ``vec``, each
-    ``(..., rows, m)`` with ``vec`` ``(..., m)``: 2-D for one string,
-    with a leading ``B`` axis for a stack, all checked at entry.  The
-    right-to-left semiring mat-vec chain (:func:`_matvec_chain`) does
-    the same operations on each string of a stack as on that string
-    alone, so every result is bit-identical to running it alone, and
+    ``blocks`` are the operands left of the sink vector ``vec``, one
+    ``(n, ..., rows, m)`` stack per run of same-shape layers with ``vec``
+    ``(..., m)``: no further axis for one string, a ``B`` axis after the
+    layer axis for a stack, all checked at entry.  The right-to-left
+    semiring mat-vec chain (:func:`_matvec_chain`) does the same
+    operations on each string of a stack as on that string alone, so
+    every result is bit-identical to running it alone, and
     :func:`~repro.dp.certificate.certify_backward` certifies its stage
     vectors when the semiring has an arg-reduction; each result keeps
-    only the verdict, in ``certified``.  A
-    leftmost ``1 × m`` row vector yields a scalar per string.  Returns
-    one result per string, in row-major order of the leading axes.
+    only the verdict, in ``certified``.  A leftmost ``1 × m`` row vector
+    yields a scalar per string.  Returns one result per string, in
+    row-major order of the leading axes.
     """
     m = vec.shape[-1]
-    chain = _matvec_chain(sr, mats, vec)
+    runs = _matvec_chain(sr, blocks, vec)
     lead = vec.shape[:-1]
     # A non-selective ⊕ (plus-times) has no certificate: ``certified`` stays None.
     verdicts = (
-        certify_backward(sr, mats, vec, chain)
+        certify_backward(sr, blocks, vec, runs)
         if sr.add_argreduce is not None
         else np.full(lead, None)
     ).ravel().tolist()
-    rows = mats[0].shape[-2]
-    report = _fast_report(len(mats), rows, m)
-    values = chain[0].reshape(-1, rows)
+    rows = blocks[0].shape[-2]
+    report = _fast_report(sum(len(b) for b in blocks), rows, m)
+    values = runs[0][0][0].reshape(-1, rows)
     if rows == 1 and m > 1:
         return [
             PipelinedArrayResult(
@@ -271,8 +299,9 @@ class PipelinedMatrixStringArray:
         mats, vec, m = _normalize_string(self.sr, matrices)
         check_cost_layers(self.sr, [*mats, vec], "matrices contain")
         return self._run_string(
-            mats, vec, m, record_trace=record_trace, backend=backend, sinks=sinks,
-            injector=injector, observe=observe, strict=strict,
+            mats, vec, m, _blocks_of(self.sr, mats), record_trace=record_trace,
+            backend=backend, sinks=sinks, injector=injector, observe=observe,
+            strict=strict,
         )
 
     def _run_string(
@@ -280,18 +309,20 @@ class PipelinedMatrixStringArray:
         mats: list[np.ndarray],
         vec: np.ndarray,
         m: int,
+        blocks: list[np.ndarray],
         *,
         backend: str | None,
         **cycle: Any,
     ) -> PipelinedArrayResult:
-        """:meth:`run` on a normalized string whose costs are checked;
-        ``cycle`` holds its cycle-level keywords."""
+        """:meth:`run` on a normalized string whose costs are checked, as
+        layers ``mats`` (rtl) and as ``blocks`` (fast); ``cycle`` holds its
+        cycle-level keywords."""
         work = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
         return run_with_backend(
             normalize_backend(backend, self.backend),
             work=work,
             rtl=lambda **kw: self._run_rtl(mats, vec, m, **kw),
-            fast=lambda: _fast_kernel(self.sr, mats, vec)[0],
+            fast=lambda: _fast_kernel(self.sr, blocks, vec)[0],
             design=self.design_name,
             **cycle,
         )
@@ -408,14 +439,16 @@ class PipelinedMatrixStringArray:
         result is ``f(source stage)`` — a scalar for single-source
         graphs, the vector of source costs otherwise.  The graph's costs
         are read-only and were checked when it was built, so they go to
-        the array as they are: no copy and no second check.
+        the array as they are, the fast kernel reading the graph's cost
+        blocks: no copy and no second check.
         """
         if graph.semiring.name != self.sr.name:
             raise SystolicError("graph and array use different semirings")
         mats, vec, m = _normalize_string(self.sr, graph.costs)
         return self._run_string(
-            mats, vec, m, record_trace=record_trace, backend=backend, sinks=sinks,
-            injector=injector, observe=observe, strict=strict,
+            mats, vec, m, _operands(graph.cost_blocks), record_trace=record_trace,
+            backend=backend, sinks=sinks, injector=injector, observe=observe,
+            strict=strict,
         )
 
     # ------------------------------------------------------------------

@@ -78,11 +78,23 @@ def _patch_sweep(monkeypatch, corrupt):
 
 def _patch_chain(monkeypatch, corrupt):
     """Replace the mat-vec chain (Fig. 3 and Fig. 4 kernel, dnc route) by
-    ``corrupt(real_chain, sr, mats, vec)``."""
+    ``corrupt(real_chain, sr, mats, vec)``, seen layer by layer: ``mats``
+    are the layers and ``real_chain`` returns the ``L + 1`` stage vectors;
+    the result is handed on in the chain's per-block ``(values, inputs)``."""
     real = pipelined_array._matvec_chain
 
-    def chain(sr, mats, vec):
-        return corrupt(real, sr, list(mats), vec)
+    def per_layer(sr, mats, vec):
+        runs = real(sr, pipelined_array._blocks_of(sr, mats), vec)
+        return [v for values, _ in runs for v in values] + [vec]
+
+    def chain(sr, blocks, vec):
+        stages = corrupt(per_layer, sr, [c for b in blocks for c in b], vec)
+        runs, start = [], 0
+        for b in blocks:
+            stop = start + len(b)
+            runs.append((np.array(stages[start:stop]), np.array(stages[start + 1 : stop + 1])))
+            start = stop
+        return runs
 
     monkeypatch.setattr(pipelined_array, "_matvec_chain", chain)
     monkeypatch.setattr(solver_mod, "_matvec_chain", chain)
@@ -230,6 +242,12 @@ def _skew_late_stage(hs, registers):
     hs[7, ..., 3] -= 1.0
 
 
+def _skew_late_vector(real, sr, mats, vec):
+    values = real(sr, mats, vec)
+    values[-2] = values[-2] + 1.0
+    return values
+
+
 def test_certificates_hold_across_chunks(rng, monkeypatch):
     """A tiny element budget splits every certificate into many chunks."""
     monkeypatch.setattr(certificate, "CHUNK_ELEMENTS", 7)
@@ -241,6 +259,9 @@ def test_certificates_hold_across_chunks(rng, monkeypatch):
     _patch_sweep(monkeypatch, _skew_late_stage)
     with pytest.raises(ValidationError, match="certificate rejects"):
         solve(problems[0], backend="fast")
+    _patch_chain(monkeypatch, _skew_late_vector)  # the dnc chain's last chunk
+    with pytest.raises(ValidationError, match="certificate rejects"):
+        solve(problems[1], backend="fast")
 
 
 # ----------------------------------------------------------------------

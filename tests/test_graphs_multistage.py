@@ -69,12 +69,14 @@ class TestReadOnlyCosts:
         with pytest.raises(ValueError):
             g.costs[0][0, 0] = 1.0
 
-    def test_views_are_copied_and_owned_read_only_arrays_shared(self):
+    def test_read_only_arrays_are_copied_into_owned_blocks(self):
         base = np.arange(6.0).reshape(2, 3)
         frozen = np.array([[0.0], [1.0], [2.0]])
         frozen.setflags(write=False)
         g = MultistageGraph(costs=(base[:1], frozen))
-        assert g.costs[0].base is None and g.costs[1] is frozen
+        for c, given, block in zip(g.costs, (base[:1], frozen), g.cost_blocks):
+            assert c.base is block and block.flags.owndata
+            assert not np.shares_memory(c, given)
 
     def test_digest_is_memoized(self):
         g = fig1a_graph()
