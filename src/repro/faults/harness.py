@@ -194,17 +194,25 @@ class DesignHarness:
 
 
 class _MatrixStringHarness(DesignHarness):
-    """Shared detector logic for the Fig. 3/4 matrix-string arrays.
+    """Shared harness for the Fig. 3/4 matrix-string arrays: it runs the
+    string on :attr:`array_class` and checks the result.
 
     Phase ``p`` evaluates ``y = M ⊗ x`` with ``M = mats[n_phases−1−p]``
     (the string folds right-to-left); ``phase_values[p]`` is the
     observed ``(x, y)`` boundary pair.
     """
 
+    #: The array class the harness runs.
+    array_class: type[PipelinedMatrixStringArray | BroadcastMatrixStringArray]
+
     def __init__(self, mats: list[np.ndarray], semiring: Semiring = MIN_PLUS):
         super().__init__()
         self.sr = semiring
         self.mats = [semiring.asarray(m) for m in mats]
+        self.array = self.array_class(semiring)
+
+    def run(self, **kw: Any) -> Any:
+        return self.array.run(self.mats, **kw)
 
     @property
     def n_phases(self) -> int:
@@ -287,26 +295,14 @@ class _MatrixStringHarness(DesignHarness):
 class PipelinedHarness(_MatrixStringHarness):
     design = "pipelined"
     registers = ("R", "ACC", "X", "Y")
-
-    def __init__(self, mats: list[np.ndarray], semiring: Semiring = MIN_PLUS):
-        super().__init__(mats, semiring)
-        self.array = PipelinedMatrixStringArray(semiring)
-
-    def run(self, **kw: Any) -> Any:
-        return self.array.run(self.mats, **kw)
+    array_class = PipelinedMatrixStringArray
 
 
 class BroadcastHarness(_MatrixStringHarness):
     design = "broadcast"
     # ARG exists too but is dead state unless track_decisions is on.
     registers = ("ACC", "S")
-
-    def __init__(self, mats: list[np.ndarray], semiring: Semiring = MIN_PLUS):
-        super().__init__(mats, semiring)
-        self.array = BroadcastMatrixStringArray(semiring)
-
-    def run(self, **kw: Any) -> Any:
-        return self.array.run(self.mats, **kw)
+    array_class = BroadcastMatrixStringArray
 
 
 class FeedbackHarness(DesignHarness):

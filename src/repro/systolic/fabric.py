@@ -911,8 +911,6 @@ def run_with_backend(
     work: int,
     rtl: Callable[..., Any],
     fast: Callable[[], Any],
-    validate: Callable[[Any, Any], None] | None = None,
-    validate_limit: int = AUTO_VALIDATE_LIMIT,
     design: str = "array",
     **cycle: Any,
 ) -> Any:
@@ -927,13 +925,12 @@ def run_with_backend(
     fast path never ticks a machine.
 
     ``work`` is the instance's serial-op count.  ``auto`` always returns
-    the fast result; up to ``validate_limit`` it also runs rtl and raises
-    :class:`BackendMismatch` unless the two agree on the whole
+    the fast result; up to :data:`AUTO_VALIDATE_LIMIT` it also runs rtl
+    and raises :class:`BackendMismatch` unless the two agree on the whole
     :class:`RunReport` (``backend`` aside) and on every field the result
     class lists in ``backend_fields``.  Each comparison is exact, except
     that floats agree under ``np.allclose(..., equal_nan=True)`` with
-    equal shapes.  ``validate(rtl_result, fast_result)``, when given,
-    replaces that check.
+    equal shapes.
 
     Each backend invocation runs under a ``<design>.backend.<name>``
     timing span (:mod:`repro.telemetry.timing`), so rtl and fast
@@ -962,13 +959,10 @@ def run_with_backend(
             return fast()
     with span(f"{design}.backend.fast"):
         fast_result = fast()
-    if work <= validate_limit:
+    if work <= AUTO_VALIDATE_LIMIT:
         with span(f"{design}.backend.rtl"):
             rtl_result = rtl(**cycle)
-        if validate is None:
-            _check_agreement(design, rtl_result, fast_result)
-        else:
-            validate(rtl_result, fast_result)
+        _check_agreement(design, rtl_result, fast_result)
     return fast_result
 
 

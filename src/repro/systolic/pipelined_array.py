@@ -33,6 +33,10 @@ of operands checked at entry), certifies the chain's stage vectors in one
 pass, and reports the schedule's closed-form counters; the batch engine (:mod:`repro.exec.vectorized`) runs the same
 kernel on a stack of same-shape strings.  ``backend="auto"`` cross-validates fast against
 RTL on small instances.
+
+The Fig. 4 broadcast array (:mod:`repro.systolic.broadcast_array`) shares
+this module's front end (``_MatrixStringArray``), fast kernel and result
+type; each design supplies only its rtl machine and closed-form counters.
 """
 
 from __future__ import annotations
@@ -61,31 +65,39 @@ __all__ = ["PipelinedArrayResult", "PipelinedMatrixStringArray", "StreamedRunRes
 
 @dataclasses.dataclass(frozen=True)
 class PipelinedArrayResult:
-    """Output of a pipelined-array run."""
+    """Output of a Fig. 3 or Fig. 4 run (``BroadcastArrayResult`` names
+    the same type)."""
 
     #: What ``backend="auto"`` compares beside the report (:func:`.run_with_backend`).
-    backend_fields: ClassVar[tuple[str, ...]] = ("value",)
+    backend_fields: ClassVar[tuple[str, ...]] = ("value", "decisions")
 
     value: np.ndarray  # final vector (shape (m,)) or scalar (shape ())
     report: RunReport
-    #: (overlapped tick, pe index, label) events when ``record_trace``
-    #: was requested; labels are ``x<s>`` (moving input element) and
-    #: ``y<s>`` (moving partial result) with the phase prefixed.
+    #: Fig. 4 with ``track_decisions``: per evaluated layer (sink side
+    #: first), the winning next-stage vertex per PE — the matrix-string
+    #: analogue of the Fig. 5 path registers.  ``None`` otherwise.
+    decisions: tuple[np.ndarray, ...] | None = None
+    #: (tick, pe, label) events when ``record_trace`` was requested.
+    #: Fig. 3 ticks are overlapped ticks and its labels ``x<s>`` (moving
+    #: input element) and ``y<s>`` (moving partial result) with the phase
+    #: prefixed; Fig. 4 has no skew, so its ticks are the plain iteration
+    #: numbers and its labels ``p<phase>:x<j>`` for the bus value consumed.
     trace: tuple[tuple[int, int, str], ...] = ()
-    #: The full typed event stream (``op``/``io``/``phase``) from the
-    #: machine's trace bus, when ``record_trace`` was requested.
+    #: The full typed event stream from the machine's trace bus, when
+    #: ``record_trace`` was requested.
     events: tuple[TraceEvent, ...] = ()
     #: Per-phase ``(x, y)`` boundary vectors (phase input as the array saw
     #: it, phase output as latched), captured when ``observe`` was
     #: requested — the data the ABFT detectors check.  Empty otherwise.
     phase_values: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     #: The fast kernel's certificate verdict
-    #: (:func:`~repro.dp.certificate.certify_backward`); ``None`` when the
-    #: rtl machine ran, or the semiring has no arg-reduction.
+    #: (:func:`~repro.dp.certificate.certify_backward`), covering the
+    #: decisions when tracked; ``None`` when the rtl machine ran, or the
+    #: semiring has no arg-reduction.
     certified: bool | None = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        read_only((self.value, self.phase_values))
+        read_only((self.value, self.decisions, self.phase_values))
 
 
 def _normalize_string(
@@ -135,8 +147,8 @@ def _matvec_chain(
     sr: Semiring, blocks: Sequence[np.ndarray], vec: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """``C_0 ⊗ (C_1 ⊗ (… ⊗ vec))``, right to left, over any leading axes:
-    the Fig. 3 value, and the divide-and-conquer route's value in
-    :func:`repro.core.solver.solve`.
+    the Fig. 3 and Fig. 4 value, and the divide-and-conquer route's value
+    in :func:`repro.core.solver.solve`.
 
     ``blocks`` are the operands as stacks of same-shape layers, each
     ``(n, …, rows, cols)`` with the leading axes ``…`` of ``vec``.
@@ -203,10 +215,20 @@ def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
     )
 
 
+#: A phase's ARG registers from its candidates ``cand[i, j] = M[i, j] ⊗ x_j``
+#: (Fig. 4's ``broadcast_array._arg_registers``).
+ArgRegisters = Callable[[Semiring, np.ndarray], np.ndarray]
+
+
 def _fast_kernel(
-    sr: Semiring, blocks: Sequence[np.ndarray], vec: np.ndarray
+    sr: Semiring,
+    blocks: Sequence[np.ndarray],
+    vec: np.ndarray,
+    fast_report: Callable[[int, int, int], RunReport] = _fast_report,
+    arg_registers: ArgRegisters | None = None,
 ) -> list[PipelinedArrayResult]:
-    """The fast backend on one string or on a stack of same-shape strings.
+    """The fast backend of Fig. 3 and Fig. 4, on one string or on a stack
+    of same-shape strings.
 
     ``blocks`` are the operands left of the sink vector ``vec``, one
     ``(n, ..., rows, m)`` stack per run of same-shape layers with ``vec``
@@ -218,8 +240,15 @@ def _fast_kernel(
     :func:`~repro.dp.certificate.certify_backward` certifies its stage
     vectors when the semiring has an arg-reduction; each result keeps
     only the verdict, in ``certified``.  A leftmost ``1 × m`` row vector
-    yields a scalar per string.  Returns one result per string, in
-    row-major order of the leading axes.
+    yields a scalar per string.  ``fast_report(num_phases, rows, m)`` is
+    the design's closed-form counters (Fig. 3's by default).
+
+    With ``arg_registers`` (Fig. 4's decisions, one string only), each
+    phase adds one raw ⊗ and one ``arg_registers`` call over the stage
+    vector the chain kept, and the verdict also requires every decision
+    to attain its stage value (the attainment half of
+    :func:`~repro.dp.certificate.certify_forward`).  Returns one result
+    per string, in row-major order of the leading axes.
     """
     m = vec.shape[-1]
     runs = _matvec_chain(sr, blocks, vec)
@@ -230,33 +259,62 @@ def _fast_kernel(
         if sr.add_argreduce is not None
         else np.full(lead, None)
     ).ravel().tolist()
+    dec: tuple[np.ndarray, ...] | None = None
+    if arg_registers is not None:
+        decisions: list[np.ndarray] = []
+        attained = True
+        # Phase order: sink side first.
+        for block, (values, inputs) in zip(reversed(blocks), reversed(runs)):
+            for mat, x, v in zip(block[::-1], inputs[::-1], values[::-1]):
+                cand = sr.raw_mul(mat, x)
+                arg = arg_registers(sr, cand)
+                won = np.take_along_axis(cand, arg[:, None], axis=1)[:, 0]
+                attained = attained and bool(np.all(won == v))
+                decisions.append(arg)
+        verdicts = [bool(ok and attained) for ok in verdicts]
+        dec = tuple(decisions)
     rows = blocks[0].shape[-2]
-    report = _fast_report(sum(len(b) for b in blocks), rows, m)
+    report = fast_report(sum(len(b) for b in blocks), rows, m)
     values = runs[0][0][0].reshape(-1, rows)
     if rows == 1 and m > 1:
         return [
             PipelinedArrayResult(
-                value=sr.asarray(float(v[0])), report=report, certified=ok
+                value=sr.asarray(float(v[0])), report=report, decisions=dec,
+                certified=ok,
             )
             for v, ok in zip(values, verdicts)
         ]
     # Rows are copied out, so a cached result does not keep the stack alive.
     return [
-        PipelinedArrayResult(value=v.copy(), report=report, certified=ok)
+        PipelinedArrayResult(value=v.copy(), report=report, decisions=dec, certified=ok)
         for v, ok in zip(values, verdicts)
     ]
 
 
-class PipelinedMatrixStringArray:
-    """Simulator of the Fig. 3 pipelined systolic array."""
+class _MatrixStringArray:
+    """The front end Fig. 3 and Fig. 4 share: both evaluate the eq.-8
+    matrix string right to left, in the same iterations on the same PEs,
+    and differ only in how data moves.  A design supplies its
+    ``design_name``, its rtl machine (``_run_rtl``) and its closed-form
+    counters (``_fast_report``); the checks, the fast kernel
+    (:func:`_fast_kernel`) and the backend dispatch live here."""
 
-    design_name = "fig3-pipelined"
+    design_name: ClassVar[str]
+    #: The design's closed-form counters, ``(num_phases, rows, m) -> RunReport``.
+    _fast_report: ClassVar[Callable[[int, int, int], RunReport]]
+    #: The design's own ``run`` keywords (Fig. 4: ``track_decisions``).
+    run_options: ClassVar[tuple[str, ...]] = ()
+    #: The design's clocked machine, ``_run_rtl(mats, vec, m, **cycle)``;
+    #: the keywords it does not read itself configure its SystolicMachine.
+    _run_rtl: Callable[..., PipelinedArrayResult]
+    #: Fig. 4's ``track_decisions`` hook: the backend given, the backend
+    #: to run and the ARG-register pass for the fast kernel.
+    _decision_pass: Callable[[str], tuple[str, ArgRegisters]]
 
     def __init__(self, semiring: Semiring = MIN_PLUS, backend: str = "rtl") -> None:
         self.sr = semiring
         self.backend = normalize_backend(backend)
 
-    # ------------------------------------------------------------------
     def run(
         self,
         matrices: list[np.ndarray],
@@ -267,6 +325,7 @@ class PipelinedMatrixStringArray:
         injector: object = None,
         observe: bool | None = None,
         strict: bool = False,
+        **options: bool,
     ) -> PipelinedArrayResult:
         """Evaluate the matrix string right-to-left on the array.
 
@@ -274,10 +333,8 @@ class PipelinedMatrixStringArray:
         operands must be ``m × m``; ``matrices[0]`` may be a ``1 × m``
         row vector (single-source graph), in which case the result is a
         scalar formed in a single PE, exactly as in the paper's last
-        three example iterations.  With ``record_trace`` the overlapped
-        schedule's per-tick PE activity is captured for space-time
-        rendering: PE ``i`` executes local step ``s`` of phase ``p`` at
-        overlapped tick ``p·m + i + s``.
+        three example iterations.  With ``record_trace`` the schedule's
+        per-tick PE activity is captured for space-time rendering.
 
         ``backend`` overrides the array default: ``"rtl"`` simulates the
         clocked machine, ``"fast"`` computes the same values with
@@ -290,42 +347,125 @@ class PipelinedMatrixStringArray:
         turns on the hazard sanitizer (:mod:`repro.analysis.hazards`),
         whose violations raise ``HazardError``.  These cycle-level
         requests follow the rule of
-        :func:`~repro.systolic.fabric.run_with_backend`.
+        :func:`~repro.systolic.fabric.run_with_backend`.  ``options`` are
+        the design's own keywords (:attr:`run_options`).
 
         The operands are checked once here
         (:func:`~repro.graphs.check_cost_layers`): NaN, the wrong
         infinity or an overflowing path sum raises ``GraphError``.
         """
+        extra = sorted(set(options) - set(self.run_options))
+        if extra:
+            raise TypeError(
+                f"{type(self).__name__}.run() got an unexpected keyword argument "
+                f"{extra[0]!r}"
+            )
         mats, vec, m = _normalize_string(self.sr, matrices)
         check_cost_layers(self.sr, [*mats, vec], "matrices contain")
         return self._run_string(
             mats, vec, m, _blocks_of(self.sr, mats), record_trace=record_trace,
             backend=backend, sinks=sinks, injector=injector, observe=observe,
-            strict=strict,
+            strict=strict, **options,
         )
+
+    def run_graph(
+        self,
+        graph: MultistageGraph,
+        *,
+        record_trace: bool = False,
+        backend: str | None = None,
+        sinks: Iterable[Callable[[TraceEvent], None]] = (),
+        injector: object = None,
+        observe: bool | None = None,
+        strict: bool = False,
+    ) -> PipelinedArrayResult:
+        """Evaluate a single-sink multistage graph (backward formulation).
+
+        The graph's cost matrices are exactly the string of eq. (8); the
+        result is ``f(source stage)`` — a scalar for single-source
+        graphs, the vector of source costs otherwise.  The graph's costs
+        are read-only and were checked when it was built, so they go to
+        the array as they are, the fast kernel reading the graph's cost
+        blocks: no copy and no second check.  The keywords are those of
+        :meth:`run`.
+        """
+        return self._run_string(
+            *self._graph_string(graph), record_trace=record_trace, backend=backend,
+            sinks=sinks, injector=injector, observe=observe, strict=strict,
+        )
+
+    def _graph_string(
+        self, graph: MultistageGraph
+    ) -> tuple[list[np.ndarray], np.ndarray, int, list[np.ndarray]]:
+        """``graph``'s cost string, normalized for :meth:`_run_string`."""
+        if graph.semiring.name != self.sr.name:
+            raise SystolicError("graph and array use different semirings")
+        return (*_normalize_string(self.sr, graph.costs), _operands(graph.cost_blocks))
 
     def _run_string(
         self,
         mats: list[np.ndarray],
         vec: np.ndarray,
         m: int,
-        blocks: list[np.ndarray],
+        blocks: Sequence[np.ndarray],
         *,
         backend: str | None,
         **cycle: Any,
     ) -> PipelinedArrayResult:
         """:meth:`run` on a normalized string whose costs are checked, as
         layers ``mats`` (rtl) and as ``blocks`` (fast); ``cycle`` holds its
-        cycle-level keywords."""
+        cycle-level keywords and the design's options, which reach the rtl
+        machine as keywords."""
+        resolved = normalize_backend(backend, self.backend)
+        arg_registers = None
+        if cycle.get("track_decisions"):
+            resolved, arg_registers = self._decision_pass(resolved)
         work = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
         return run_with_backend(
-            normalize_backend(backend, self.backend),
+            resolved,
             work=work,
             rtl=lambda **kw: self._run_rtl(mats, vec, m, **kw),
-            fast=lambda: _fast_kernel(self.sr, blocks, vec)[0],
+            fast=lambda: _fast_kernel(
+                self.sr, blocks, vec, self._fast_report, arg_registers
+            )[0],
             design=self.design_name,
             **cycle,
         )
+
+    @staticmethod
+    def _finish(
+        machine: SystolicMachine,
+        value: np.ndarray,
+        mats: list[np.ndarray],
+        phase_values: list[tuple[np.ndarray, np.ndarray]],
+        decisions: tuple[np.ndarray, ...] | None = None,
+    ) -> PipelinedArrayResult:
+        """An rtl run's result: ``value`` leaves the array, and the report
+        counts ``m`` iterations per phase and one serial op per element."""
+        machine.write_output(int(np.asarray(value).size), label="out:f")
+        report = machine.finalize(
+            iterations=len(mats) * len(machine.pes),
+            serial_ops=sum(int(a.shape[0]) * int(a.shape[1]) for a in mats),
+        )
+        return PipelinedArrayResult(
+            value=value,
+            report=report,
+            decisions=decisions,
+            trace=machine.legacy_trace(),
+            events=machine.trace_events(),
+            phase_values=tuple(phase_values),
+        )
+
+
+class PipelinedMatrixStringArray(_MatrixStringArray):
+    """Simulator of the Fig. 3 pipelined systolic array.
+
+    PE ``i`` executes local step ``s`` of phase ``p`` at overlapped tick
+    ``p·m + i + s``; a traced run records that schedule.
+    """
+
+    design_name = "fig3-pipelined"
+    _fast_report = staticmethod(_fast_report)
 
     # ------------------------------------------------------------------
     # RTL backend
@@ -336,17 +476,11 @@ class PipelinedMatrixStringArray:
         vec: np.ndarray,
         m: int,
         *,
-        record_trace: bool = False,
-        sinks: Iterable[Callable[[TraceEvent], None]] = (),
-        injector: object = None,
         observe: bool = False,
-        strict: bool = False,
+        **machine_kw: Any,
     ) -> PipelinedArrayResult:
         sr = self.sr
-        machine = SystolicMachine(
-            self.design_name, record_trace=record_trace, sinks=sinks,
-            injector=injector, strict=strict,
-        )
+        machine = SystolicMachine(self.design_name, **machine_kw)
         pes = machine.add_pes(m)
         for pe in pes:
             pe.reg("R", sr.zero)  # moving input slot
@@ -358,14 +492,12 @@ class PipelinedMatrixStringArray:
         moving: list[float] = [float(x) for x in vec]
         scalar_result: float | None = None
         num_phases = len(mats)
-        serial_ops = 0
         phase_values: list[tuple[np.ndarray, np.ndarray]] = []
 
         for phase in range(num_phases):
             mat = mats[num_phases - 1 - phase]  # right-to-left product order
             mode_a = phase % 2 == 0
             is_row_vector = mat.shape[0] == 1 and m > 1
-            serial_ops += mat.shape[0] * mat.shape[1]
             machine.begin_phase(f"p{phase}:{'A' if mode_a else 'B'}", start=phase * m)
             x_snap: np.ndarray | None = None
             if observe:
@@ -411,45 +543,7 @@ class PipelinedMatrixStringArray:
             value = sr.asarray(moving)
         else:
             value = sr.asarray([pe["X"].value for pe in pes])
-        machine.write_output(int(np.asarray(value).size), label="out:f")
-
-        report = machine.finalize(iterations=num_phases * m, serial_ops=serial_ops)
-        return PipelinedArrayResult(
-            value=value,
-            report=report,
-            trace=machine.legacy_trace(),
-            events=machine.trace_events(),
-            phase_values=tuple(phase_values),
-        )
-
-    def run_graph(
-        self,
-        graph: MultistageGraph,
-        *,
-        record_trace: bool = False,
-        backend: str | None = None,
-        sinks: Iterable[Callable[[TraceEvent], None]] = (),
-        injector: object = None,
-        observe: bool | None = None,
-        strict: bool = False,
-    ) -> PipelinedArrayResult:
-        """Evaluate a single-sink multistage graph (backward formulation).
-
-        The graph's cost matrices are exactly the string of eq. (8); the
-        result is ``f(source stage)`` — a scalar for single-source
-        graphs, the vector of source costs otherwise.  The graph's costs
-        are read-only and were checked when it was built, so they go to
-        the array as they are, the fast kernel reading the graph's cost
-        blocks: no copy and no second check.
-        """
-        if graph.semiring.name != self.sr.name:
-            raise SystolicError("graph and array use different semirings")
-        mats, vec, m = _normalize_string(self.sr, graph.costs)
-        return self._run_string(
-            mats, vec, m, _operands(graph.cost_blocks), record_trace=record_trace,
-            backend=backend, sinks=sinks, injector=injector, observe=observe,
-            strict=strict,
-        )
+        return self._finish(machine, value, mats, phase_values)
 
     # ------------------------------------------------------------------
     # Phase simulations (RTL)

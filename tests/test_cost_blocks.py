@@ -107,12 +107,38 @@ class TestGraphBlocks:
                 np.testing.assert_array_equal(a, b)
             assert all(c.base is not None for c in clone.costs)
 
-    def test_framing_copies_each_run_once(self, rng):
+    def test_framing_adopts_the_graphs_blocks(self, rng):
         g = uniform_multistage(rng, 5, 3)
         framed = add_virtual_terminals(g)
         assert [b.shape for b in framed.cost_blocks] == [(1, 1, 3), (4, 3, 3), (1, 3, 1)]
-        np.testing.assert_array_equal(framed.cost_blocks[1], g.cost_blocks[0])
-        assert not np.shares_memory(framed.cost_blocks[1], g.cost_blocks[0])
+        assert framed.cost_blocks[1] is g.cost_blocks[0]
+        assert np.shares_memory(framed.cost_blocks[1], g.cost_blocks[0])
+        assert all(_owned_read_only(b) for b in framed.cost_blocks)
+        layers = [layer for block in framed.cost_blocks for layer in block]
+        for c, layer in zip(framed.costs, layers):
+            assert c.base is not None and not c.flags.writeable
+            np.testing.assert_array_equal(c, layer)
+        assert framed.stage_sizes == (1, 3, 3, 3, 3, 3, 1)
+        # The same graph built by the constructor, which copies every run.
+        rebuilt = MultistageGraph(costs=framed.costs)
+        for backend in ("fast", "auto", "rtl"):
+            for prefer in (None, "broadcast"):
+                _assert_same(
+                    solve(framed, prefer=prefer, backend=backend),
+                    solve(rebuilt, prefer=prefer, backend=backend),
+                )
+
+    @pytest.mark.parametrize(
+        "sizes", [[1, 1, 3], [3, 1, 1], [1, 1], [1, 1, 1, 1], [1, 3, 3]]
+    )
+    def test_framing_a_unit_boundary_layer_keeps_one_block_per_run(self, rng, sizes):
+        g = random_multistage(rng, sizes)
+        framed = add_virtual_terminals(g)
+        shapes = [b.shape[1:] for b in framed.cost_blocks]
+        assert all(a != b for a, b in zip(shapes, shapes[1:]))
+        assert all(_owned_read_only(b) for b in framed.cost_blocks)
+        assert framed.stage_sizes == (1, *sizes, 1)
+        assert solve_backward(framed).optimum == solve_backward(g).optimum
 
 
 class TestNodeValueBlocks:

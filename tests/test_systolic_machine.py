@@ -4,6 +4,7 @@ backend dispatch helpers — the layer every array design now runs on."""
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.systolic import (
     TraceEvent,
     TraceSink,
     TriangularArray,
-    broadcast_array,
     feedback_array,
     mesh_array,
     normalize_backend,
@@ -183,6 +183,22 @@ class TestEmptyRunReports:
         assert rep.busy_fraction == 0.0
 
 
+@dataclasses.dataclass(frozen=True)
+class _StubResult:
+    """A result with a report and no other field for ``auto`` to compare."""
+
+    backend_fields: ClassVar[tuple[str, ...]] = ()
+    report: RunReport
+
+
+def _stub(backend, serial_ops=1):
+    return _StubResult(RunReport(
+        design="stub", num_pes=1, iterations=1, wall_ticks=1, pe_busy_ticks=(1,),
+        pe_op_counts=(1,), serial_ops=serial_ops, input_words=1, output_words=1,
+        broadcast_words=0, backend=backend,
+    ))
+
+
 class TestBackendDispatch:
     def test_normalize_accepts_known(self):
         assert normalize_backend("rtl") == "rtl"
@@ -192,39 +208,42 @@ class TestBackendDispatch:
 
     def test_rtl_and_fast_select_their_lane(self):
         calls = []
-        run_with_backend(
+        out = run_with_backend(
             "rtl", work=1,
-            rtl=lambda: calls.append("rtl"),
-            fast=lambda: calls.append("fast"),
-            validate=lambda a, b: calls.append("validate"),
+            rtl=lambda: calls.append("rtl") or _stub("rtl"),
+            fast=lambda: calls.append("fast") or _stub("fast"),
         )
-        run_with_backend(
+        assert out == _stub("rtl")
+        out = run_with_backend(
             "fast", work=1,
-            rtl=lambda: calls.append("rtl"),
-            fast=lambda: calls.append("fast"),
-            validate=lambda a, b: calls.append("validate"),
+            rtl=lambda: calls.append("rtl") or _stub("rtl"),
+            fast=lambda: calls.append("fast") or _stub("fast"),
         )
+        assert out == _stub("fast")
         assert calls == ["rtl", "fast"]
 
     def test_auto_validates_small_instances(self):
         calls = []
         out = run_with_backend(
             "auto", work=AUTO_VALIDATE_LIMIT,
-            rtl=lambda: "rtl-result",
-            fast=lambda: "fast-result",
-            validate=lambda r, f: calls.append((r, f)),
+            rtl=lambda: calls.append("rtl") or _stub("rtl"),
+            fast=lambda: calls.append("fast") or _stub("fast"),
         )
-        assert out == "fast-result"
-        assert calls == [("rtl-result", "fast-result")]
+        assert out == _stub("fast")
+        assert calls == ["fast", "rtl"]
+        with pytest.raises(BackendMismatch):
+            run_with_backend(
+                "auto", work=AUTO_VALIDATE_LIMIT,
+                rtl=lambda: _stub("rtl", serial_ops=2), fast=lambda: _stub("fast"),
+            )
 
     def test_auto_skips_validation_above_limit(self):
         out = run_with_backend(
             "auto", work=AUTO_VALIDATE_LIMIT + 1,
             rtl=lambda: (_ for _ in ()).throw(AssertionError("rtl ran")),
-            fast=lambda: "fast-result",
-            validate=lambda r, f: (_ for _ in ()).throw(AssertionError()),
+            fast=lambda: _stub("fast"),
         )
-        assert out == "fast-result"
+        assert out == _stub("fast")
 
     def test_backend_mismatch_is_systolic_error(self):
         assert issubclass(BackendMismatch, SystolicError)
@@ -245,7 +264,7 @@ AUTO_DESIGNS = {
     "fig3": (pipelined_array, "value", lambda: PipelinedMatrixStringArray().run_graph(
         _graph(), backend="auto"
     )),
-    "fig4-decisions": (broadcast_array, "value", lambda: BroadcastMatrixStringArray().run(
+    "fig4-decisions": (pipelined_array, "value", lambda: BroadcastMatrixStringArray().run(
         list(_graph().costs), track_decisions=True, backend="auto"
     )),
     "fig5": (feedback_array, "optimum", lambda: FeedbackSystolicArray().run(
