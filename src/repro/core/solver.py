@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .._readonly import read_only
+from .._readonly import fields_equal, read_only, row_builder
 from ..dnc import simulate_chain_product
 from ..dp import (
     eliminate,
@@ -114,6 +114,8 @@ class SolveReport:
     #: ``"certificate"``, ``"oracle"`` or ``"sequential"``: the check that ran.
     validation: str = "oracle"
 
+    __eq__ = fields_equal
+
     def __post_init__(self) -> None:
         if self.validation not in _VALIDATIONS:
             raise ValueError(
@@ -124,9 +126,7 @@ class SolveReport:
         if self.validated or self._degraded_and_warned():
             return
         if self.validation == "certificate":
-            raise ValidationError(
-                f"the certificate rejects architecture result {self.optimum}"
-            )
+            raise _rejected(self.optimum)
         raise ValidationError(
             f"architecture result {self.optimum} disagrees with the "
             f"sequential reference {self.reference}"
@@ -157,27 +157,49 @@ def _validated(a: Any, b: Any) -> bool:
     return bool(np.all(np.isclose(a, b, rtol=1e-9, atol=1e-9)))
 
 
+def _rejected(optimum: float) -> ValidationError:
+    """The error of a report whose certificate rejects ``optimum``."""
+    return ValidationError(f"the certificate rejects architecture result {optimum}")
+
+
 def _certified(
     rec: Recommendation,
     method: str,
-    optimum: float,
-    solution: Any,
-    detail: Any,
-    certified: bool,
-) -> SolveReport:
-    """The report of a fast kernel run whose certificate verdict is
-    ``certified``; ``reference`` is the certified optimum."""
-    return SolveReport(
-        dp_class=rec.dp_class,
-        method=method,
-        optimum=optimum,
-        reference=optimum,
-        validated=certified,
-        solution=solution,
-        detail=detail,
-        recommendation=rec,
-        validation="certificate",
-    )
+    optima: Sequence[float],
+    solutions: Sequence[Any],
+    details: Sequence[Any],
+    verdicts: Sequence[bool],
+) -> list[SolveReport]:
+    """The reports of fast kernel rows, one per entry of the columns
+    ``optima``, ``solutions``, ``details`` and certificate ``verdicts``;
+    ``reference`` is the certified optimum.  A batch and a single fast
+    ``solve()`` (a column of one) both build their rows here.
+
+    The rows are built by :func:`~repro._readonly.row_builder`, so
+    ``SolveReport.__post_init__``'s checks run here once per column:
+    the first rejected row, in column order, raises its
+    :class:`ValidationError`, and array solutions are made read-only.
+    """
+    if not all(verdicts):
+        raise _rejected(next(o for o, ok in zip(optima, verdicts) if not ok))
+    for solution in solutions:
+        if isinstance(solution, np.ndarray):
+            read_only(solution)
+    dp_class, new_report = rec.dp_class, row_builder(SolveReport)
+    return [
+        new_report(
+            dp_class=dp_class,
+            method=method,
+            optimum=optimum,
+            reference=optimum,
+            validated=ok,
+            solution=solution,
+            detail=detail,
+            recommendation=rec,
+            validation="certificate",
+        )
+        for optimum, solution, detail, ok in zip(optima, solutions, details, verdicts)
+    ]
 
 
 def _checked(
@@ -193,7 +215,7 @@ def _checked(
     verdict, else (the rtl machine ran) compared with the sequential
     ``oracle()``."""
     if certified is not None:
-        return _certified(rec, method, optimum, solution, detail, certified)
+        return _certified(rec, method, [optimum], [solution], [detail], [certified])[0]
     reference = oracle()
     return SolveReport(
         dp_class=rec.dp_class,
@@ -480,14 +502,24 @@ def _oracle(problem: Any) -> float:
 
 
 def _answer(problem: Any, result: Any) -> tuple[float, Any]:
-    """An array result's optimum and solution: the Fig. 5 traced path,
-    the parenthesization's order, or the Fig. 3/4 source-cost vector."""
+    """An array result's optimum and solution: :func:`_answers` of one."""
+    optima, solutions = _answers(problem, [result])
+    return optima[0], solutions[0]
+
+
+def _answers(problem: Any, results: Sequence[Any]) -> tuple[list[float], list[Any]]:
+    """The optima and solutions of array results on ``problem``'s shape,
+    as columns: the Fig. 5 traced paths, the parenthesization's orders,
+    or the Fig. 3/4 source-cost vectors, whose optima are one
+    ⊕-reduction over the stacked vectors."""
     if isinstance(problem, NodeValueProblem):
-        return result.optimum, result.path
+        return [r.optimum for r in results], [r.path for r in results]
     if isinstance(problem, MatrixChainProblem):
-        return float(result.order.cost), result.order
-    sr = problem.semiring
-    return float(sr.add_reduce(np.asarray(result.value), axis=None)), result.value
+        return [float(r.order.cost) for r in results], [r.order for r in results]
+    values = [r.value for r in results]
+    stacked = np.array(values).reshape(len(values), -1)
+    optima = problem.semiring.add_reduce(stacked, axis=-1).tolist()
+    return [float(o) for o in optima], values
 
 
 def _solve_serial(

@@ -34,7 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.solver import _ARRAYS, SolveReport, _answer, _certified, _frame
+from ..core.solver import _ARRAYS, SolveReport, _answers, _certified, _frame
 from ..dp.certificate import require_argreduce
 from ..graphs import MultistageGraph, NodeValueProblem
 from ..systolic.feedback_array import _fast_kernel as feedback_kernel
@@ -115,9 +115,8 @@ def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
         results = pipelined_kernel(sr, _operands(blocks), blocks[-1][-1, ..., 0])
     else:
         raise ValueError(f"unknown payload kind {kind!r}")
-    rec, problem = payload["recommendation"], payload["problem"]
-    method = _ARRAYS[kind][1]
-    return [
-        _certified(rec, method, *_answer(problem, res), res, res.certified)
-        for res in results
-    ]
+    optima, solutions = _answers(payload["problem"], results)
+    return _certified(
+        payload["recommendation"], _ARRAYS[kind][1], optima, solutions, results,
+        [res.certified for res in results],
+    )

@@ -43,12 +43,15 @@ def _has_nan(a: np.ndarray) -> bool:
 
 
 def check_cost_layers(
-    sr: Semiring, layers: Iterable[np.ndarray], source: str
+    sr: Semiring, blocks: Iterable[np.ndarray], source: str
 ) -> None:
     """Check cost layers once, where they enter; raise :class:`GraphError`.
 
-    Every layer is rejected if it holds NaN.  Semirings with an unguarded
-    ⊗ (``raw_mul_op``: min-plus and max-plus, whose ⊗ is ``+`` and whose
+    ``blocks`` hold the layers in order, stacked as cost blocks: each an
+    ``(n, …)`` array of ``n`` layers (:attr:`MultistageGraph.cost_blocks`),
+    and layer ``k`` of a message counts across blocks.  Every layer is
+    rejected if it holds NaN.  Semirings with an unguarded ⊗
+    (``raw_mul_op``: min-plus and max-plus, whose ⊗ is ``+`` and whose
     zero is an infinity) also reject what would make that ⊗ differ from
     the guarded ``mul``, which maps ``(+inf) + (-inf)`` to the zero:
 
@@ -58,27 +61,35 @@ def check_cost_layers(
       (its ⊕-reduction, clamped at ``one``) is not finite, so some
       partial path sum could overflow to the wrong infinity.
 
-    One ⊕-reduction per layer finds both the extreme cost and any NaN,
-    since min and max propagate NaN.  Costs that pass can run through
-    :attr:`Semiring.raw_mul`.  ``source`` starts every message, e.g.
-    ``"edge_cost returned"``.
+    One ⊕-reduction per block gives every layer's extreme cost and shows
+    any NaN, since min and max propagate NaN; the extremes are then
+    checked and folded layer by layer, in order.  Costs that pass can
+    run through :attr:`Semiring.raw_mul`.  ``source`` starts every
+    message, e.g. ``"edge_cost returned"``.
     """
+    k = 0  # the index of the next layer
     if sr.raw_mul_op is None:
-        for k, c in enumerate(layers):
-            if _has_nan(c):
-                raise GraphError(f"{source} NaN in layer {k}")
+        for block in blocks:
+            if block.dtype.kind in "fc":
+                nan = np.isnan(block.reshape(len(block), -1)).any(axis=1)
+                if nan.any():
+                    raise GraphError(f"{source} NaN in layer {k + int(nan.argmax())}")
+            k += len(block)
         return
     wrong = -sr.zero
-    bound = sr.one
-    for k, c in enumerate(layers):
-        extreme = float(sr.add_reduce(c, axis=None))
-        if extreme != extreme:
-            raise GraphError(f"{source} NaN in layer {k}")
-        if extreme == wrong:
-            raise GraphError(
-                f"{source} {wrong} in layer {k}, the wrong infinity for {sr.name}"
-            )
-        bound = sr.scalar_mul(bound, sr.scalar_add(extreme, sr.one))
+    one = sr.one
+    add, mul = sr.scalar_ops
+    bound = one
+    for block in blocks:
+        for extreme in sr.add_reduce(block.reshape(len(block), -1), axis=1).tolist():
+            if extreme != extreme:
+                raise GraphError(f"{source} NaN in layer {k}")
+            if extreme == wrong:
+                raise GraphError(
+                    f"{source} {wrong} in layer {k}, the wrong infinity for {sr.name}"
+                )
+            bound = mul(bound, add(extreme, one))
+            k += 1
     if not math.isfinite(bound):
         raise GraphError(f"{source} costs whose path sums overflow under {sr.name}")
 
@@ -145,8 +156,8 @@ class MultistageGraph:
                     f"{mats[k].shape} then {mats[k + 1].shape}"
                 )
         blocks = _blocks_of(sr, mats)
+        check_cost_layers(sr, blocks, "costs contain")
         costs = _views(blocks)
-        check_cost_layers(sr, costs, "costs contain")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "_blocks", blocks)
 
@@ -378,7 +389,7 @@ class NodeValueProblem:
                 layer[...] = out
                 k += 1
             blocks.append(_frozen(block))
-        check_cost_layers(self.semiring, _views(blocks), "edge_cost returned")
+        check_cost_layers(self.semiring, blocks, "edge_cost returned")
         return tuple(blocks)
 
     @functools.cached_property

@@ -133,8 +133,6 @@ class BroadcastMatrixStringArray(_MatrixStringArray):
         for phase in range(num_phases):
             mat = mats[num_phases - 1 - phase]
             is_row_vector = mat.shape[0] == 1 and m > 1
-            if is_row_vector and phase != num_phases - 1:
-                raise SystolicError("row-vector operand must be leftmost")
             machine.begin_phase(f"p{phase}")
             x_snap = sr.asarray(bus_source) if observe else None
             if is_row_vector:

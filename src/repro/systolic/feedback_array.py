@@ -54,7 +54,7 @@ from typing import Callable, ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
-from .._readonly import read_only
+from .._readonly import fields_equal, read_only, row_builder
 from ..dp.certificate import certify_forward
 from ..graphs import NodeValueProblem, StagePath
 from ..semiring import MIN_PLUS, Semiring
@@ -111,12 +111,12 @@ class FeedbackArrayResult:
     #: rtl machine ran.
     certified: bool | None = dataclasses.field(default=None, compare=False)
 
+    __eq__ = fields_equal
+
     def __post_init__(self) -> None:
-        # The one array field directly; the fast kernel leaves
-        # ``stage_values`` empty, so most rows skip the tuple walk.
-        self.final_stage_values.flags.writeable = False
-        if self.stage_values:
-            read_only(self.stage_values)
+        # Fast-kernel rows skip this: :func:`_fast_kernel` builds them with
+        # ``row_builder`` and keeps the invariant for the whole column.
+        read_only((self.final_stage_values, self.stage_values))
 
 
 def _serial_ops(n_stages: int, m: int) -> int:
@@ -185,7 +185,9 @@ def _fast_kernel(sr: Semiring, layers: np.ndarray) -> list[FeedbackArrayResult]:
     each result keeps only the verdict, in ``certified``.  Each instance
     of a stack goes through the same operations as it would alone, so
     its result is bit-identical.  Returns one result per instance, in
-    row-major order of the leading axes.
+    row-major order of the leading axes, each built by
+    :func:`~repro._readonly.row_builder` with its own read-only
+    ``final_stage_values``.
     """
     hs, registers = _forward_sweep(sr, layers)
     n_layers, lead, m = len(registers), hs.shape[1:-1], hs.shape[-1]
@@ -200,21 +202,24 @@ def _fast_kernel(sr: Semiring, layers: np.ndarray) -> list[FeedbackArrayResult]:
     flat = registers.ravel().tolist()
     count = len(rows)
     report = _fast_report(n_layers + 1, m)
+    # ``__post_init__``'s invariant, for the whole column: each row owns
+    # a read-only copy, so a cached result does not keep the stack alive.
+    finals = [read_only(final_h.copy()) for final_h in rows]
+    new_path, new_result = row_builder(StagePath), row_builder(FeedbackArrayResult)
     results: list[FeedbackArrayResult] = []
     for i, (final_h, optimum, winner, ok) in enumerate(
-        zip(rows, optima.tolist(), winners.tolist(), verdicts.ravel().tolist())
+        zip(finals, optima.tolist(), winners.tolist(), verdicts.ravel().tolist())
     ):
         # Trace the path registers back from the final stage's winner.
         nodes = [winner]
         for k in range(n_layers - 1, -1, -1):
             nodes.append(flat[(k * count + i) * m + nodes[-1]])
         nodes.reverse()
-        # The row is copied out, so a cached result does not keep the stack alive.
         results.append(
-            FeedbackArrayResult(
+            new_result(
                 optimum=optimum,
-                path=StagePath(nodes=tuple(nodes), cost=optimum),
-                final_stage_values=final_h.copy(),
+                path=new_path(nodes=tuple(nodes), cost=optimum),
+                final_stage_values=final_h,
                 report=report,
                 certified=ok,
             )

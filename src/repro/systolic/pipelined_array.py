@@ -46,7 +46,7 @@ from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .._readonly import read_only
+from .._readonly import fields_equal, read_only, row_builder
 from ..dp.certificate import certify_backward
 from ..graphs import MultistageGraph, check_cost_layers
 from ..graphs.multistage import _blocks_of
@@ -95,6 +95,8 @@ class PipelinedArrayResult:
     #: decisions when tracked; ``None`` when the rtl machine ran, or the
     #: semiring has no arg-reduction.
     certified: bool | None = dataclasses.field(default=None, compare=False)
+
+    __eq__ = fields_equal
 
     def __post_init__(self) -> None:
         read_only((self.value, self.decisions, self.phase_values))
@@ -248,7 +250,8 @@ def _fast_kernel(
     vector the chain kept, and the verdict also requires every decision
     to attain its stage value (the attainment half of
     :func:`~repro.dp.certificate.certify_forward`).  Returns one result
-    per string, in row-major order of the leading axes.
+    per string, in row-major order of the leading axes, each built by
+    :func:`~repro._readonly.row_builder` with its own read-only ``value``.
     """
     m = vec.shape[-1]
     runs = _matvec_chain(sr, blocks, vec)
@@ -273,21 +276,20 @@ def _fast_kernel(
                 decisions.append(arg)
         verdicts = [bool(ok and attained) for ok in verdicts]
         dec = tuple(decisions)
+        read_only(dec)
     rows = blocks[0].shape[-2]
     report = fast_report(sum(len(b) for b in blocks), rows, m)
     values = runs[0][0][0].reshape(-1, rows)
+    # ``__post_init__``'s invariant, for the whole column: each row owns a
+    # read-only value (a copy, so a cached result does not keep the stack alive).
     if rows == 1 and m > 1:
-        return [
-            PipelinedArrayResult(
-                value=sr.asarray(float(v[0])), report=report, decisions=dec,
-                certified=ok,
-            )
-            for v, ok in zip(values, verdicts)
-        ]
-    # Rows are copied out, so a cached result does not keep the stack alive.
+        column = [read_only(sr.asarray(v)) for v in values[:, 0].tolist()]
+    else:
+        column = [read_only(v.copy()) for v in values]
+    new_result = row_builder(PipelinedArrayResult)
     return [
-        PipelinedArrayResult(value=v.copy(), report=report, decisions=dec, certified=ok)
-        for v, ok in zip(values, verdicts)
+        new_result(value=v, report=report, decisions=dec, certified=ok)
+        for v, ok in zip(column, verdicts)
     ]
 
 
@@ -361,9 +363,10 @@ class _MatrixStringArray:
                 f"{extra[0]!r}"
             )
         mats, vec, m = _normalize_string(self.sr, matrices)
-        check_cost_layers(self.sr, [*mats, vec], "matrices contain")
+        blocks = _blocks_of(self.sr, mats)
+        check_cost_layers(self.sr, [*blocks, vec[None]], "matrices contain")
         return self._run_string(
-            mats, vec, m, _blocks_of(self.sr, mats), record_trace=record_trace,
+            mats, vec, m, blocks, record_trace=record_trace,
             backend=backend, sinks=sinks, injector=injector, observe=observe,
             strict=strict, **options,
         )
@@ -508,8 +511,6 @@ class PipelinedMatrixStringArray(_MatrixStringArray):
                     moving if mode_a else [pe["X"].value for pe in pes]
                 )
             if is_row_vector:
-                if phase != num_phases - 1:
-                    raise SystolicError("row-vector operand must be leftmost")
                 scalar_result = (
                     self._scalar_phase_a(machine, mat, moving)
                     if mode_a

@@ -20,6 +20,7 @@ from repro.graphs import (
     GraphError,
     MultistageGraph,
     NodeValueProblem,
+    check_cost_layers,
     gain_schedule_problem,
     single_source_sink,
     uniform_multistage,
@@ -212,3 +213,88 @@ def test_solves_make_no_guarded_mul_call():
     assert methods[2].startswith("divide-and-conquer")
     assert methods[3].startswith("fig4") and reports[3].validation == "certificate"
     assert all(r.validated for r in reports)
+
+
+def _check_layer_by_layer(sr, layers, source):
+    """The per-layer reference of ``check_cost_layers``: one ⊕-reduction
+    and one check per layer, the overflow fold in layer order."""
+    bound = sr.one
+    for k, c in enumerate(layers):
+        if sr.raw_mul_op is None:
+            if np.isnan(c).any():
+                raise GraphError(f"{source} NaN in layer {k}")
+            continue
+        extreme = float(sr.add_reduce(c, axis=None))
+        if extreme != extreme:
+            raise GraphError(f"{source} NaN in layer {k}")
+        if extreme == -sr.zero:
+            raise GraphError(
+                f"{source} {-sr.zero} in layer {k}, the wrong infinity for {sr.name}"
+            )
+        bound = sr.scalar_mul(bound, sr.scalar_add(extreme, sr.one))
+    if sr.raw_mul_op is not None and not np.isfinite(bound):
+        raise GraphError(f"{source} costs whose path sums overflow under {sr.name}")
+
+
+def _message(check, *args):
+    try:
+        check(*args)
+    except GraphError as err:
+        return str(err)
+    return None
+
+
+class TestOneReductionPerBlock:
+    """``check_cost_layers`` reduces each cost block once and reports the
+    same layer, message and overflow verdict as a per-layer check."""
+
+    M = 3
+    #: A ``[1, m, m, m, m, m, 1]`` graph: blocks of 1, 5 and 1 layers.
+    SIZES = (1, M, M, M, M, M, M, 1)
+
+    def _graph_costs(self, sr, rng):
+        return [
+            rng.integers(0, 5, shape).astype(float) * (1 if sr is MIN_PLUS else -1)
+            for shape in zip(self.SIZES, self.SIZES[1:])
+        ]
+
+    @pytest.mark.parametrize("sr", [MIN_PLUS, MAX_PLUS], ids=lambda s: s.name)
+    @pytest.mark.parametrize("layer", [0, 1, 3, 5, 6])
+    @pytest.mark.parametrize("fault", ["nan", "wrong", "overflow"])
+    def test_fault_in_the_first_middle_and_last_layer_of_a_block(self, sr, layer, fault):
+        costs = self._graph_costs(sr, np.random.default_rng(layer))
+        big = 1e308 if sr is MAX_PLUS else -1e308
+        if fault == "nan":
+            costs[layer][0, -1] = np.nan
+        elif fault == "wrong":
+            costs[layer][-1, 0] = -sr.zero
+        else:
+            # Two layers whose extremes each fit but whose sum overflows.
+            costs[layer][0, 0] = big
+            costs[(layer + 2) % len(costs)][-1, -1] = big
+        want = _message(_check_layer_by_layer, sr, costs, "costs contain")
+        assert want is not None
+        if fault != "overflow":
+            assert want.split(" in layer ")[1].startswith(str(layer))
+        with pytest.raises(GraphError) as err:
+            MultistageGraph(costs=costs, semiring=sr)
+        assert str(err.value) == want
+
+    def test_the_graph_has_a_first_middle_and_last_block(self):
+        graph = MultistageGraph(costs=self._graph_costs(MIN_PLUS, np.random.default_rng(0)))
+        assert [len(block) for block in graph.cost_blocks] == [1, 5, 1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_faults_match_the_per_layer_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        sr = (MIN_PLUS, MAX_PLUS, standard.MIN_MAX, standard.BOOLEAN)[seed % 4]
+        blocks = [rng.integers(0, 4, (int(rng.integers(1, 5)), 2, 2)).astype(float)
+                  for _ in range(3)]
+        for _ in range(int(rng.integers(0, 3))):
+            block = blocks[int(rng.integers(3))]
+            block[int(rng.integers(len(block))), int(rng.integers(2)), int(rng.integers(2))] = (
+                rng.choice([np.nan, inf, -inf, 1e308, -1e308])
+            )
+        layers = [layer for block in blocks for layer in block]
+        want = _message(_check_layer_by_layer, sr, layers, "src")
+        assert _message(check_cost_layers, sr, blocks, "src") == want

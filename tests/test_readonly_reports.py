@@ -153,3 +153,49 @@ class TestReadOnlyRoundTrips:
         sched = simulate_chain_product(1, 1, matrices=[mat])
         assert mat.flags.writeable and not sched.product.flags.writeable
         assert np.array_equal(sched.product, mat)
+
+
+class TestArrayAwareEquality:
+    """``==`` on results that hold arrays compares them by dtype, shape and
+    values; the generated ``__eq__`` raised on a multi-element array."""
+
+    def test_dnc_reports_with_vector_solutions(self):
+        def run():
+            return solve(uniform_multistage(np.random.default_rng(0), 30, 3), backend="fast")
+
+        first, second = run(), run()
+        assert first.solution.size > 1 and first.solution is not second.solution
+        assert first == second
+
+    def test_fig4_decisions_and_observed_phase_values(self):
+        from repro.systolic import BroadcastMatrixStringArray
+
+        mats = single_source_sink(np.random.default_rng(3), 3, 4).as_matrices()
+        runs = [
+            BroadcastMatrixStringArray().run(mats, backend=backend, track_decisions=True,
+                                             observe=observe)
+            for backend, observe in (("fast", False), ("fast", False), ("rtl", True))
+        ]
+        assert runs[0] == runs[1] and runs[0].decisions
+        assert runs[2] == dataclasses.replace(runs[2])
+        assert runs[2].phase_values and runs[2] != runs[0]
+
+    def test_a_different_array_value_dtype_or_shape_is_unequal(self):
+        report = solve(uniform_multistage(np.random.default_rng(1), 4, 3), backend="fast")
+        detail = report.detail
+        value = np.array(detail.value)
+        changed = value.copy()
+        changed.flat[0] += 1
+        for other in (changed, value.astype(np.float32), value[None]):
+            assert dataclasses.replace(detail, value=other) != detail
+        assert dataclasses.replace(detail, value=value) == detail
+        # ``certified`` is not compared, as before.
+        assert dataclasses.replace(detail, certified=None) == detail
+
+    def test_other_types_and_hashing_are_unchanged(self):
+        report = solve(traffic_light_problem(np.random.default_rng(2), 4, 3), backend="fast")
+        assert report != object() and report.detail != report
+        assert report.__eq__(object()) is NotImplemented
+        # A frozen dataclass with ``eq`` still gets its generated ``__hash__``.
+        assert report.detail.path.__hash__ is not None
+        assert type(report).__hash__ is not None
