@@ -11,7 +11,8 @@ Every case runs untraced, traced, strict, and traced + strict.  The two
 untraced modes have no events and share one digest; the two traced modes
 share another, because a clean strict run emits nothing extra and
 reports ``hazards == 0``.  The fault-plan cases also pin the injector's
-record of every fault that took effect.
+record of every fault that took effect, and the observed cases the
+per-phase boundary vectors of the one-row strings.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def _pipelined(seed, n_mats, m, row_vector=False):
     return lambda **kw: arr.run(mats, **kw)
 
 
-def _broadcast(seed, n_mats, m, row_vector=False):
+def _broadcast(seed, n_mats, m, row_vector=False, **options):
     mats = _string(np.random.default_rng(seed), n_mats, m, row_vector)
     arr = BroadcastMatrixStringArray()
-    return lambda **kw: arr.run(mats, **kw)
+    return lambda **kw: arr.run(mats, **options, **kw)
 
 
 def _feedback(seed, n_stages, m):
@@ -81,6 +82,8 @@ CASES = {
     "fig3-m1": lambda: _pipelined(14, 3, 1),
     "fig4": lambda: _broadcast(21, 5, 4),
     "fig4-row": lambda: _broadcast(22, 4, 4, row_vector=True),
+    "fig4-row-decisions": lambda: _broadcast(22, 4, 4, row_vector=True, track_decisions=True),
+    "fig4-m1": lambda: _broadcast(24, 3, 1),
     "fig5": lambda: _feedback(31, 6, 4),
     "fig5-m1": lambda: _feedback(32, 4, 1),
     "mesh": lambda: _mesh(41, 4, 3),
@@ -94,6 +97,34 @@ FAULT_PLANS = {
         (
             FaultSpec(mode="dead_pe", pe=2, tick=9),
             FaultSpec(mode="stuck_at", pe=1, reg="ACC", tick=5, value=3.0),
+        ),
+    ),
+    # The row cases' faults hit the final one-row phase, where P1 works
+    # alone: faults on other PEs and on P1's shift register R must find
+    # nothing staged there.  fig3-row-a's last phase is ticks 17-20 (its
+    # ACC reset latches at 17), fig3-row-b's and fig4-row's ticks 13-16.
+    "fig3-row-a-p1": (
+        "fig3-row-a",
+        (
+            FaultSpec(mode="dead_pe", pe=1, tick=17),
+            FaultSpec(mode="drop_delivery", pe=0, reg="R", tick=17, duration=4),
+            FaultSpec(mode="transient_flip", pe=0, reg="ACC", tick=18, delta=5.0),
+        ),
+    ),
+    "fig3-row-b-p1": (
+        "fig3-row-b",
+        (
+            FaultSpec(mode="stuck_at", pe=0, reg="X", tick=13, value=3.0),
+            FaultSpec(mode="transient_flip", pe=0, reg="Y", tick=13, delta=5.0),
+            FaultSpec(mode="drop_delivery", pe=0, reg="R", tick=13, duration=4),
+        ),
+    ),
+    "fig4-row-p1": (
+        "fig4-row",
+        (
+            FaultSpec(mode="dead_pe", pe=2, tick=13),
+            FaultSpec(mode="transient_flip", pe=0, reg="ACC", tick=14, delta=5.0),
+            FaultSpec(mode="stuck_at", pe=0, reg="ARG", tick=15, value=3.0),
         ),
     ),
     "fig5-drop-flip": (
@@ -138,7 +169,7 @@ def _result_value(res):
     return [res.value, getattr(res, "decisions", None)]
 
 
-def _digest(res, faults=None):
+def _digest(res, faults=None, phase_values=False):
     payload = {
         "events": [[e.tick, e.pe, e.kind, e.label, e.phase] for e in res.events],
         "report": _canonical(list(dataclasses.astuple(res.report))),
@@ -146,6 +177,8 @@ def _digest(res, faults=None):
     }
     if faults is not None:
         payload["faults"] = [f.to_dict() for f in faults]
+    if phase_values:
+        payload["phase_values"] = _canonical(res.phase_values)
     blob = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -162,8 +195,16 @@ def fault_digest(name, mode):
     return _digest(res, injector.injections)
 
 
+def observed_digest(name):
+    """The untraced run with ``observe``: its digest adds the per-phase
+    ``(x, y)`` boundary vectors the ABFT detectors read."""
+    return _digest(CASES[name]()(observe=True), phase_values=True)
+
+
 #: ``(untraced digest, traced digest)`` per case, recorded on the
-#: latch-every-register machine.
+#: latch-every-register machine (``fig4-row-decisions``, ``fig4-m1`` and
+#: the one-row fault plans on the machine that ran a one-row phase as
+#: its own scalar routine).
 GOLDEN = {
     "fig3": ("341340c6c358ba6ab71e1fa26c519144a52cb7d77dedea06040228bd40c99625",
              "7b633ad64ad2aab571affe3a0c272300f292d970882df1660fb967e71a044d57"),
@@ -177,6 +218,10 @@ GOLDEN = {
              "8677235369824174b1082df039ffcc303e6ec3ef82f3c99d82be7c891ca8a036"),
     "fig4-row": ("faab6c00c788142cbca1a364039ea518ea861f5b7bff8280156df125fbbf3d81",
                  "1d91c9d51c5f84decaacc6bb9ef1b916420131fe98b91d49a22dd86dad5c6c94"),
+    "fig4-row-decisions": ("48a0422e17bcbaf1ed6c10c87807e24eee0cbf9e83509c9afe03f5ec886a3c09",
+                           "d76ca331a30c3e1b34226840089864bd7283ef5e7dded2ae554af495276b9df9"),
+    "fig4-m1": ("6daf9953c02503b64c289b1ed8b511eae93d68fadce0e1572ca1c50cdfa6ec45",
+                "656ebad92f29ed1d0f878ba483bf736d69d8607ac6f47e1c32634ef8e703fcf7"),
     "fig5": ("87b90ac5eca95541647442e93a3f50815ec31a882936c708021a0c040806a2d7",
              "d6d2e9b16403abf3ee74165eb6df769c8276fe2729f307cac85973e503810a66"),
     "fig5-m1": ("be2e63dd1ce449aa19a992a0efa819958affb6607e71bf5685aa9097cab6b708",
@@ -192,6 +237,12 @@ GOLDEN = {
 GOLDEN_FAULTS = {
     "fig3-dead-stuck": ("88e27a65db3d2350b7ef220a66419490a01aa665c540f8cec1a48494cede9ac8",
                         "b0bee46da3a646e43fc34591d5de1692c6daa06d722d483445502e97c9c146de"),
+    "fig3-row-a-p1": ("e28dcae8b3faf7e8366a5423df8b4ad992e8dae377897727705e32e59a0735da",
+                      "791af15db272dfc39fa1a7f5c949e784e8c28223fb25ee5c89374669448c637d"),
+    "fig3-row-b-p1": ("4a2bed56cf8194485b7fb0c1cbd879a73bd7517be748f734736b40975a0ae6be",
+                      "ce57cbbe1a2392b04ac791f4750bf65d538ea93d98e4217244eb75976776d4b1"),
+    "fig4-row-p1": ("dd63e0d6adf7026ba9c8c89f25eb18ac0be26dc986c21e7e2c11d95c2293cdde",
+                    "bee95eecc7237833b0ec5df318123c185ffe63e2c74092f61e27b8e7dd0ab8bb"),
     "fig5-drop-flip": ("610d40ed5c61ab8b5f77687698a79be63213bd478aba54b7cc126e220affe91f",
                        "9e54011cef438e7defe6b86c26047be1bac1b1865e3acf5c4740e6d512154f25"),
 }
@@ -211,3 +262,16 @@ def test_fault_plan_stream_matches_golden(name, mode):
     untraced, traced = GOLDEN_FAULTS[name]
     want = traced if MODES[mode].get("record_trace") else untraced
     assert fault_digest(name, mode) == want
+
+
+#: Untraced ``observe=True`` digest, phase values included, per one-row case.
+GOLDEN_OBSERVED = {
+    "fig3-row-a": "6b8f173b56dd669d52a696ff958e0275b26dfdeecc6d7a336ac9806d34d926f3",
+    "fig3-row-b": "3e43fdbb3ee30f99c78973938f9222a741a44d4104c0915f3775192a95a09d2d",
+    "fig4-row": "70196b04bda8ff920b6ca3913137fefd96cea831ec4ede16c5972458caa8a34b",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_OBSERVED)
+def test_observed_phase_values_match_golden(name):
+    assert observed_digest(name) == GOLDEN_OBSERVED[name]
