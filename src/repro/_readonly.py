@@ -2,9 +2,11 @@
 cache calls :func:`read_only` on its array and mapping fields from
 ``__post_init__``, so a finished report can be shared as it is.
 
-Two helpers serve those result types as well: :func:`row_builder`
+Three helpers serve those result types as well: :func:`row_builder`
 builds the rows of a stacked fast kernel without a constructor call per
-row, and :func:`fields_equal` is the ``==`` of a result that holds arrays.
+row, :func:`restore_read_only` keeps the rule across pickling and
+copying, and :func:`fields_equal` is the ``==`` of a result that holds
+arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ def read_only(value: Any) -> Any:
     elif isinstance(value, dict):
         return MappingProxyType(value)
     return value
+
+
+def restore_read_only(self: Any, state: dict[str, Any]) -> None:
+    """``__setstate__`` of a read-only result.  Unpickling (and
+    :mod:`copy`) writes the instance ``__dict__`` back without
+    ``__init__``, and a pickled array comes back writeable, so every
+    array the state holds is made read-only again (:func:`read_only`)."""
+    self.__dict__.update(state)
+    read_only(tuple(state.values()))
 
 
 @functools.cache

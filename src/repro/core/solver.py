@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .._readonly import fields_equal, read_only, row_builder
+from .._readonly import fields_equal, read_only, restore_read_only, row_builder
 from ..dnc import simulate_chain_product
 from ..dp import (
     eliminate,
@@ -115,6 +115,7 @@ class SolveReport:
     validation: str = "oracle"
 
     __eq__ = fields_equal
+    __setstate__ = restore_read_only
 
     def __post_init__(self) -> None:
         if self.validation not in _VALIDATIONS:

@@ -35,12 +35,10 @@ from .nonserial import (
     EliminationResult,
     NonserialObjective,
     banded_objective,
-    banded_objective_w,
     brute_force_minimum,
     eliminate,
     eq40_step_count,
     group_variables_to_serial,
-    group_variables_to_serial_w,
 )
 
 __all__ = [
@@ -66,8 +64,6 @@ __all__ = [
     "eliminate",
     "eq40_step_count",
     "group_variables_to_serial",
-    "group_variables_to_serial_w",
-    "banded_objective_w",
     "ObstSolution",
     "solve_obst",
     "brute_force_obst",

@@ -38,8 +38,6 @@ __all__ = [
     "brute_force_minimum",
     "eq40_step_count",
     "group_variables_to_serial",
-    "group_variables_to_serial_w",
-    "banded_objective_w",
 ]
 
 
@@ -280,39 +278,47 @@ def brute_force_minimum(objective: NonserialObjective) -> tuple[float, dict[Hash
 def banded_objective(
     rng: np.random.Generator,
     domain_sizes: Sequence[int],
+    bandwidth: int = 3,
     *,
     low: float = 0.0,
     high: float = 10.0,
 ) -> NonserialObjective:
-    """The paper's eq. (36) workload: terms ``g_k(V_k, V_{k+1}, V_{k+2})``.
+    """Random terms over ``bandwidth`` consecutive variables: at the
+    default 3, the paper's eq. (36) workload ``g_k(V_k, V_{k+1}, V_{k+2})``.
 
-    Each ``g_k`` is a random dense table over three consecutive
-    variables.  ``domain_sizes[k]`` is ``m_{k+1}`` of the paper.
+    Each ``g_k`` is a random dense table over its variables.
+    ``domain_sizes[k]`` is ``m_{k+1}`` of the paper.
     """
-    n = len(domain_sizes)
-    if n < 3:
-        raise ValueError("banded objective needs at least 3 variables")
+    w = _check_bandwidth(bandwidth, len(domain_sizes))
     domains = {
-        f"V{k + 1}": np.arange(int(domain_sizes[k]), dtype=np.float64)
-        for k in range(n)
+        f"V{k + 1}": np.arange(int(size), dtype=np.float64)
+        for k, size in enumerate(domain_sizes)
     }
 
     def make_term(k: int):
-        m1, m2, m3 = (int(domain_sizes[k + d]) for d in range(3))
-        table = rng.uniform(low, high, size=(m1, m2, m3))
+        shape = tuple(int(domain_sizes[k + d]) for d in range(w))
+        table = rng.uniform(low, high, size=shape)
 
-        def fn(a, b, c, _table=table):
+        def fn(*args, _table=table):
             # Domains are index grids (0 … m-1), so values index the table.
-            ai = np.asarray(a, dtype=np.intp)
-            bi = np.asarray(b, dtype=np.intp)
-            ci = np.asarray(c, dtype=np.intp)
-            return _table[ai, bi, ci]
+            return _table[tuple(np.asarray(a, dtype=np.intp) for a in args)]
 
-        return (tuple(f"V{k + d + 1}" for d in range(3)), fn)
+        return (tuple(f"V{k + d + 1}" for d in range(w)), fn)
 
+    n_terms = len(domains) - w + 1
     return NonserialObjective(
-        domains=domains, terms=tuple(make_term(k) for k in range(n - 2))
+        domains=domains, terms=tuple(make_term(k) for k in range(n_terms))
     )
+
+
+def _check_bandwidth(bandwidth: int, n: int) -> int:
+    """``bandwidth`` as an int, checked against ``n`` variables."""
+    w = int(bandwidth)
+    if w < 2:
+        raise ValueError("bandwidth must be at least 2")
+    if n < w:
+        raise ValueError(f"need at least {w} variables for bandwidth {w}")
+    return w
 
 
 def eq40_step_count(domain_sizes: Sequence[int]) -> int:
@@ -327,83 +333,31 @@ def eq40_step_count(domain_sizes: Sequence[int]) -> int:
     return sum(m[k] * m[k + 1] * m[k + 2] for k in range(n - 2)) + m[-2] * m[-1]
 
 
-def group_variables_to_serial(objective: NonserialObjective) -> tuple[
-    MultistageGraph, tuple[tuple[tuple[int, int], ...], ...]
-]:
+def group_variables_to_serial(
+    objective: NonserialObjective, bandwidth: int = 3
+) -> tuple[MultistageGraph, tuple[tuple[tuple[int, ...], ...], ...]]:
     """Serialize a banded objective by grouping adjacent variables (eq. 41).
 
-    Builds composite variables ``V'_k = (V_k, V_{k+1})`` whose domains
-    are the cartesian products of the originals, and a multistage graph
-    whose layer-``k`` cost matrix carries ``g_k`` on *consistent*
-    composite pairs (those agreeing on the shared original variable) and
-    the semiring zero elsewhere.  The graph's monadic optimum equals the
-    nonserial optimum; tests assert this against :func:`eliminate`.
-
-    Returns ``(graph, composite_states)`` where ``composite_states[k]``
-    lists, for each composite node of stage ``k``, its pair of original
-    value indices.
-    """
-    names = objective.variables
-    n = len(names)
-    if n < 3:
-        raise ValueError("grouping transform targets objectives with >= 3 variables")
-    expected_vars = [tuple(names[k + d] for d in range(3)) for k in range(n - 2)]
-    actual_vars = [tuple(tvars) for tvars, _ in objective.terms]
-    if actual_vars != expected_vars:
-        raise ValueError(
-            "grouping transform requires the banded form g_k(V_k, V_{k+1}, V_{k+2}) "
-            f"in order; got terms over {actual_vars}"
-        )
-    sr = objective.semiring
-    sizes = [objective.domains[v].size for v in names]
-    composite_states = tuple(
-        tuple(itertools.product(range(sizes[k]), range(sizes[k + 1])))
-        for k in range(n - 1)
-    )
-    costs = []
-    for k in range(n - 2):
-        _tvars, table = objective.term_table(k)  # shape (m_k, m_{k+1}, m_{k+2})
-        mk, mk1, mk2 = sizes[k], sizes[k + 1], sizes[k + 2]
-        layer = sr.zeros((mk * mk1, mk1 * mk2))
-        # Composite (a, b) -> (b, c) is consistent; cost g_k(a, b, c).
-        a = np.repeat(np.arange(mk), mk1)
-        b = np.tile(np.arange(mk1), mk)
-        rows = np.arange(mk * mk1)
-        for c in range(mk2):
-            cols = b * mk2 + c
-            layer[rows, cols] = table[a, b, c]
-        costs.append(layer)
-    graph = MultistageGraph(costs=tuple(costs), semiring=sr)
-    return graph, composite_states
-
-
-def group_variables_to_serial_w(
-    objective: NonserialObjective, bandwidth: int
-) -> tuple[MultistageGraph, tuple[tuple[tuple[int, ...], ...], ...]]:
-    """Serialize a bandwidth-``w`` objective by grouping ``w − 1`` variables.
-
-    The general form of Section 6.1's recipe ("combine several primary
-    variables into a new variable"): for an objective whose ``k``-th term
-    spans the ``w`` consecutive variables ``V_k … V_{k+w-1}``, the
-    composite variables ``V'_k = (V_k, …, V_{k+w-2})`` chain serially —
-    adjacent composites overlap on ``w − 2`` originals — and the term
-    cost rides on the consistent composite transitions.  ``bandwidth=3``
-    reproduces :func:`group_variables_to_serial` (tests assert
-    equality); larger bandwidths pay composite domains of size
-    ``Π m`` over ``w − 1`` variables, the blow-up the paper's
-    "computational time and storage depend on the number of elements in
-    the domain of h₁" sentence prices.
+    Section 6.1's recipe ("combine several primary variables into a new
+    variable"): for an objective whose ``k``-th term spans the ``w``
+    consecutive variables ``V_k … V_{k+w-1}``, the composite variables
+    ``V'_k = (V_k, …, V_{k+w-2})`` chain serially, adjacent composites
+    overlapping on ``w − 2`` originals.  Layer ``k`` of the multistage
+    graph carries ``g_k`` on the *consistent* composite pairs (those
+    agreeing on the shared originals) and the semiring zero elsewhere,
+    so the graph's monadic optimum equals the nonserial optimum.  The
+    default ``bandwidth=3`` is the paper's eq. (41), ``V'_k = (V_k,
+    V_{k+1})``; larger bandwidths pay composite domains of size ``Π m``
+    over ``w − 1`` variables, the blow-up the paper's "computational time
+    and storage depend on the number of elements in the domain of h₁"
+    sentence prices.
 
     Returns ``(graph, composite_states)`` with
     ``composite_states[k][node]`` the tuple of original value indices.
     """
-    w = int(bandwidth)
-    if w < 2:
-        raise ValueError("bandwidth must be at least 2")
     names = objective.variables
     n = len(names)
-    if n < w:
-        raise ValueError(f"need at least {w} variables for bandwidth {w}")
+    w = _check_bandwidth(bandwidth, n)
     expected = [tuple(names[k + d] for d in range(w)) for k in range(n - w + 1)]
     actual = [tuple(tvars) for tvars, _fn in objective.terms]
     if actual != expected:
@@ -414,63 +368,22 @@ def group_variables_to_serial_w(
     sr = objective.semiring
     sizes = [objective.domains[v].size for v in names]
     group = w - 1  # originals per composite variable
-    n_composites = n - group + 1
     composite_states = tuple(
-        tuple(itertools.product(*(range(sizes[k + d]) for d in range(group))))
-        for k in range(n_composites)
+        tuple(itertools.product(*(range(size) for size in sizes[k : k + group])))
+        for k in range(n - group + 1)
     )
     costs = []
-    for k in range(n_composites - 1):
+    for k in range(n - w + 1):
         _tvars, table = objective.term_table(k)  # over V_k .. V_{k+w-1}
-        rows = composite_states[k]
-        cols = composite_states[k + 1]
-        col_index = {state: j for j, state in enumerate(cols)}
-        layer = sr.zeros((len(rows), len(cols)))
-        for i, row in enumerate(rows):
-            # Consistent successors share the trailing group-1 originals.
-            suffix = row[1:]
-            for c_last in range(sizes[k + group]):
-                j = col_index[suffix + (c_last,)]
-                layer[i, j] = table[row + (c_last,)]
+        m_last = sizes[k + group]
+        tail = int(np.prod(sizes[k + 1 : k + group], dtype=np.int64))
+        n_rows = len(composite_states[k])
+        # Row (a, rest…) continues to column (rest…, c): the row index
+        # modulo the shared originals' count, times m_last, plus c.
+        rows = np.arange(n_rows)[:, None]
+        layer = sr.zeros((n_rows, len(composite_states[k + 1])))
+        cols = (rows % tail) * m_last + np.arange(m_last)
+        layer[rows, cols] = table.reshape(n_rows, m_last)
         costs.append(layer)
     graph = MultistageGraph(costs=tuple(costs), semiring=sr)
     return graph, composite_states
-
-
-def banded_objective_w(
-    rng: np.random.Generator,
-    domain_sizes: Sequence[int],
-    bandwidth: int,
-    *,
-    low: float = 0.0,
-    high: float = 10.0,
-) -> NonserialObjective:
-    """Random objective with terms over ``bandwidth`` consecutive variables.
-
-    ``bandwidth=3`` reproduces :func:`banded_objective`'s structure; the
-    general form feeds :func:`group_variables_to_serial_w`.
-    """
-    w = int(bandwidth)
-    n = len(domain_sizes)
-    if w < 2:
-        raise ValueError("bandwidth must be at least 2")
-    if n < w:
-        raise ValueError(f"need at least {w} variables for bandwidth {w}")
-    domains = {
-        f"V{k + 1}": np.arange(int(domain_sizes[k]), dtype=np.float64)
-        for k in range(n)
-    }
-
-    def make_term(k: int):
-        shape = tuple(int(domain_sizes[k + d]) for d in range(w))
-        table = rng.uniform(low, high, size=shape)
-
-        def fn(*args, _table=table):
-            idx = tuple(np.asarray(a, dtype=np.intp) for a in args)
-            return _table[idx]
-
-        return (tuple(f"V{k + d + 1}" for d in range(w)), fn)
-
-    return NonserialObjective(
-        domains=domains, terms=tuple(make_term(k) for k in range(n - w + 1))
-    )

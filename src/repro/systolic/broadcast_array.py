@@ -13,9 +13,10 @@ every input matrix be fed in the same (untransposed) format:
   onto the bus one per iteration (round-robin) as the next product's
   input — no transposition, no inter-PE shifting, and no fill/drain skew.
 
-The final row-vector product (single-source graph) accumulates the
-scalar result in ``P₁`` while the bus carries the fed-back vector, as in
-the paper's last three example iterations.
+The final row-vector product (single-source graph) is the same phase on
+one row: only ``P₁`` accumulates, while the bus carries the fed-back
+vector, as in the paper's last three example iterations; that last phase
+gets no MOVE and its output is the scalar value.
 
 The RTL backend runs on :class:`~repro.systolic.fabric.SystolicMachine`
 and publishes ``op``/``broadcast``/``io`` events on its trace bus.  Only
@@ -42,7 +43,12 @@ from .fabric import (
     SystolicMachine,
     TraceEvent,
 )
-from .pipelined_array import ArgRegisters, PipelinedArrayResult, _MatrixStringArray
+from .pipelined_array import (
+    ArgRegisters,
+    PipelinedArrayResult,
+    _MatrixStringArray,
+    _string_value,
+)
 
 __all__ = ["BroadcastArrayResult", "BroadcastMatrixStringArray"]
 
@@ -53,18 +59,16 @@ BroadcastArrayResult = PipelinedArrayResult
 def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
     """The schedule's closed-form counters for ``num_phases`` operands
     whose leftmost has ``rows`` rows: ``m`` iterations per phase and no
-    skew; P1 alone serves a leftmost row vector."""
+    skew; in the last phase only the first ``rows`` PEs accumulate."""
     serial_ops = (num_phases - 1) * m * m + rows * m
-    row_vector = rows == 1 and m > 1
-    ops = [(num_phases - row_vector) * m] * m
-    ops[0] += row_vector * m
+    ops = tuple((num_phases - 1) * m + m * (i < rows) for i in range(m))
     return RunReport(
         design=BroadcastMatrixStringArray.design_name,
         num_pes=m,
         iterations=num_phases * m,
         wall_ticks=num_phases * m,
-        pe_busy_ticks=tuple(ops),
-        pe_op_counts=tuple(ops),
+        pe_busy_ticks=ops,
+        pe_op_counts=ops,
         serial_ops=serial_ops,
         input_words=m + serial_ops,
         output_words=rows,
@@ -126,57 +130,38 @@ class BroadcastMatrixStringArray(_MatrixStringArray):
 
         bus_source: list[float] = [float(x) for x in vec]  # FIRST = 1 phase input
         num_phases = len(mats)
-        scalar_result: float | None = None
         decisions: list[np.ndarray] = []
         phase_values: list[tuple[np.ndarray, np.ndarray]] = []
 
         for phase in range(num_phases):
             mat = mats[num_phases - 1 - phase]
-            is_row_vector = mat.shape[0] == 1 and m > 1
+            # The first ``rows`` PEs accumulate: all of them, or P1 alone
+            # for a leftmost row vector, the paper's last three iterations.
+            active = pes[: len(mat)]
             machine.begin_phase(f"p{phase}")
             x_snap = sr.asarray(bus_source) if observe else None
-            if is_row_vector:
-                # Only P1 participates, but the latch is still the
-                # machine's: a per-PE end_tick() would desynchronize the
-                # array clock (and is a latch-bypass lint violation).
-                pes[0]["ACC"].set(sr.zero)
-                pes[0]["ARG"].set(-1)
-                machine.latch()
-            else:
-                for pe in pes:
-                    pe["ACC"].set(sr.zero)
-                    pe["ARG"].set(-1)
-                machine.latch()
+            for pe in active:
+                pe["ACC"].set(sr.zero)
+                pe["ARG"].set(-1)
+            machine.latch()
             for j in range(m):
                 x_j = bus_source[j]
                 machine.put_on_bus(1, label=f"bus:x{j + 1}")
-                if is_row_vector:
-                    # Scalar product forms in P1 alone.
-                    pe = pes[0]
-                    machine.enter_pe(0)
-                    self._accumulate(pe, float(mat[0, j]), x_j, j, track_decisions)
+                for i, pe in enumerate(active):
+                    machine.enter_pe(i)
+                    self._accumulate(pe, float(mat[i, j]), x_j, j, track_decisions)
                     machine.exit_pe()
                     pe.count_op()
-                    machine.emit("op", 0, f"p{phase}:x{j + 1}")
-                    machine.stats.input_words += 1
-                else:
-                    for i, pe in enumerate(pes):
-                        machine.enter_pe(i)
-                        self._accumulate(pe, float(mat[i, j]), x_j, j, track_decisions)
-                        machine.exit_pe()
-                        pe.count_op()
-                        machine.emit("op", i, f"p{phase}:x{j + 1}")
-                    machine.stats.input_words += m  # one matrix element per PE per tick
+                    machine.emit("op", i, f"p{phase}:x{j + 1}")
+                machine.stats.input_words += len(active)  # one element per active PE
                 machine.end_tick()
             if track_decisions:
-                width = 1 if is_row_vector else m
                 decisions.append(
-                    np.asarray([pes[i]["ARG"].value for i in range(width)], dtype=np.intp)
+                    np.asarray([pe["ARG"].value for pe in active], dtype=np.intp)
                 )
-            if is_row_vector:
-                scalar_result = float(pes[0]["ACC"].value)
-                if x_snap is not None:
-                    phase_values.append((x_snap, sr.asarray([scalar_result])))
+            if len(active) < m:
+                # A narrower phase is the last: P1's accumulator is the scalar.
+                bus_source = [float(pe["ACC"].value) for pe in active]
             else:
                 # MOVE: gate accumulators into S; they become the next
                 # phase's bus source (FIRST = 0 feedback path).
@@ -184,16 +169,11 @@ class BroadcastMatrixStringArray(_MatrixStringArray):
                     pe["S"].set(pe["ACC"].value)
                 machine.latch()
                 bus_source = [float(pe["S"].value) for pe in pes]
-                if x_snap is not None:
-                    phase_values.append((x_snap, sr.asarray(bus_source)))
+            if x_snap is not None:
+                phase_values.append((x_snap, sr.asarray(bus_source)))
 
-        value = (
-            sr.asarray(scalar_result)
-            if scalar_result is not None
-            else sr.asarray(bus_source)
-        )
         return self._finish(
-            machine, value, mats, phase_values,
+            machine, _string_value(sr, bus_source, m), mats, phase_values,
             tuple(decisions) if track_decisions else None,
         )
 

@@ -54,7 +54,7 @@ from typing import Callable, ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
-from .._readonly import fields_equal, read_only, row_builder
+from .._readonly import fields_equal, read_only, restore_read_only, row_builder
 from ..dp.certificate import certify_forward
 from ..graphs import NodeValueProblem, StagePath
 from ..semiring import MIN_PLUS, Semiring
@@ -112,6 +112,7 @@ class FeedbackArrayResult:
     certified: bool | None = dataclasses.field(default=None, compare=False)
 
     __eq__ = fields_equal
+    __setstate__ = restore_read_only
 
     def __post_init__(self) -> None:
         # Fast-kernel rows skip this: :func:`_fast_kernel` builds them with

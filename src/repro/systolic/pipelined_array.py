@@ -21,6 +21,11 @@ Operation (paper Section 3.2):
   ``P_{i+1}``, so phases overlap: the schedule length in the paper's
   iteration unit is ``m`` per matrix-vector product, ``(P-1)·m`` total,
   plus an ``m-1``-tick drain for the skew.
+* A single-source graph's leftmost ``1 × m`` row is the same phase on
+  ``rows = 1``: in Mode A the stream is "shifted into P₁", which alone
+  holds a result; in Mode B one partial visits every PE.  A phase
+  narrower than the array is the last, gets no MOVE, and its output is
+  the scalar value (:func:`_string_value`).
 
 The RTL backend runs on :class:`~repro.systolic.fabric.SystolicMachine`:
 cycle-accurate within each phase (two-phase register semantics), phases
@@ -46,7 +51,7 @@ from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .._readonly import fields_equal, read_only, row_builder
+from .._readonly import fields_equal, read_only, restore_read_only, row_builder
 from ..dp.certificate import certify_backward
 from ..graphs import MultistageGraph, check_cost_layers
 from ..graphs.multistage import _blocks_of
@@ -97,6 +102,7 @@ class PipelinedArrayResult:
     certified: bool | None = dataclasses.field(default=None, compare=False)
 
     __eq__ = fields_equal
+    __setstate__ = restore_read_only
 
     def __post_init__(self) -> None:
         read_only((self.value, self.decisions, self.phase_values))
@@ -186,29 +192,35 @@ def _matvec_chain(
     return runs
 
 
+def _string_value(sr: Semiring, out: Sequence[float], m: int) -> np.ndarray:
+    """The string's value from its last phase's output ``out``: the
+    scalar ``out[0]`` when the leftmost operand is narrower than the
+    ``m``-PE array (the ``1 × m`` row of a single-source graph), the
+    vector ``out`` otherwise.  Both rtl readouts and the fast kernel
+    decide the shape here."""
+    return sr.asarray(out[0] if len(out) < m else out)
+
+
 def _fast_report(num_phases: int, rows: int, m: int) -> RunReport:
     """The overlapped schedule's closed-form counters on ``m`` PEs for a
     string of ``num_phases`` operands whose leftmost has ``rows`` rows:
     ``m`` iterations per phase, an ``m−1``-tick drain, one input word per
     matrix element plus the initial vector."""
     serial_ops = (num_phases - 1) * m * m + rows * m
-    # Every m × m phase keeps each PE busy for m steps.  A leftmost row
-    # vector is the last phase: with a moving input (even phase) P1
-    # alone does all m steps; otherwise one moving partial visits every
-    # PE once.
-    row_vector = rows == 1 and m > 1
-    ops = [(num_phases - row_vector) * m] * m
-    if row_vector and (num_phases - 1) % 2 == 0:
-        ops[0] += m
-    elif row_vector:
-        ops = [n + 1 for n in ops]
+    # Every earlier phase keeps each PE busy for m steps.  In the last,
+    # PE i works m steps on a stationary result (Mode A) when i < rows,
+    # and once per moving partial (Mode B).
+    last_a = (num_phases - 1) % 2 == 0
+    ops = tuple(
+        (num_phases - 1) * m + (m * (i < rows) if last_a else rows) for i in range(m)
+    )
     return RunReport(
         design=PipelinedMatrixStringArray.design_name,
         num_pes=m,
         iterations=num_phases * m,
         wall_ticks=num_phases * m + (m - 1),
-        pe_busy_ticks=tuple(ops),
-        pe_op_counts=tuple(ops),
+        pe_busy_ticks=ops,
+        pe_op_counts=ops,
         serial_ops=serial_ops,
         input_words=m + serial_ops,
         output_words=rows,
@@ -242,8 +254,9 @@ def _fast_kernel(
     :func:`~repro.dp.certificate.certify_backward` certifies its stage
     vectors when the semiring has an arg-reduction; each result keeps
     only the verdict, in ``certified``.  A leftmost ``1 × m`` row vector
-    yields a scalar per string.  ``fast_report(num_phases, rows, m)`` is
-    the design's closed-form counters (Fig. 3's by default).
+    yields a scalar per string (:func:`_string_value`).
+    ``fast_report(num_phases, rows, m)`` is the design's closed-form
+    counters (Fig. 3's by default).
 
     With ``arg_registers`` (Fig. 4's decisions, one string only), each
     phase adds one raw ⊗ and one ``arg_registers`` call over the stage
@@ -279,13 +292,12 @@ def _fast_kernel(
         read_only(dec)
     rows = blocks[0].shape[-2]
     report = fast_report(sum(len(b) for b in blocks), rows, m)
-    values = runs[0][0][0].reshape(-1, rows)
     # ``__post_init__``'s invariant, for the whole column: each row owns a
     # read-only value (a copy, so a cached result does not keep the stack alive).
-    if rows == 1 and m > 1:
-        column = [read_only(sr.asarray(v)) for v in values[:, 0].tolist()]
-    else:
-        column = [read_only(v.copy()) for v in values]
+    column = [
+        read_only(_string_value(sr, v, m))
+        for v in runs[0][0][0].reshape(-1, rows).tolist()
+    ]
     new_result = row_builder(PipelinedArrayResult)
     return [
         new_result(value=v, report=report, decisions=dec, certified=ok)
@@ -493,14 +505,13 @@ class PipelinedMatrixStringArray(_MatrixStringArray):
         machine.read_input(m, label="in:v")  # the initial vector v enters serially
 
         moving: list[float] = [float(x) for x in vec]
-        scalar_result: float | None = None
+        out = moving
         num_phases = len(mats)
         phase_values: list[tuple[np.ndarray, np.ndarray]] = []
 
         for phase in range(num_phases):
             mat = mats[num_phases - 1 - phase]  # right-to-left product order
             mode_a = phase % 2 == 0
-            is_row_vector = mat.shape[0] == 1 and m > 1
             machine.begin_phase(f"p{phase}:{'A' if mode_a else 'B'}", start=phase * m)
             x_snap: np.ndarray | None = None
             if observe:
@@ -510,40 +521,30 @@ class PipelinedMatrixStringArray(_MatrixStringArray):
                 x_snap = sr.asarray(
                     moving if mode_a else [pe["X"].value for pe in pes]
                 )
-            if is_row_vector:
-                scalar_result = (
-                    self._scalar_phase_a(machine, mat, moving)
-                    if mode_a
-                    else self._scalar_phase_b(machine, mat)
-                )
-                if observe and x_snap is not None:
-                    phase_values.append((x_snap, sr.asarray([scalar_result])))
-            elif mode_a:
-                acc = self._phase_a(machine, mat, moving)
-                if observe and x_snap is not None:
-                    phase_values.append((x_snap, sr.asarray(acc)))
+            if mode_a:
+                out = self._phase_a(machine, mat, moving)
+            else:
+                out = self._phase_b(machine, mat)
+            if observe and x_snap is not None:
+                phase_values.append((x_snap, sr.asarray(out)))
+            if not mode_a:
+                moving = out
+            elif len(out) == m:
                 # MOVE: stationary result becomes the stationary input of
                 # the next (Mode B) phase.  A control action, not a
                 # compute iteration — no tick charged (paper Fig. 3(b)).
+                # A narrower phase is the last: its result is the scalar.
                 for i, pe in enumerate(pes):
-                    pe["X"].set(acc[i])
+                    pe["X"].set(out[i])
                 machine.latch()
-                moving = []
-            else:
-                moving = self._phase_b(machine, mat)
-                if observe and x_snap is not None:
-                    phase_values.append((x_snap, sr.asarray(moving)))
 
         # Pipeline drain for the skewed schedule.
         for _ in range(m - 1):
             machine.end_tick()
 
-        if scalar_result is not None:
-            value = sr.asarray(scalar_result)
-        elif moving:
-            value = sr.asarray(moving)
-        else:
-            value = sr.asarray([pe["X"].value for pe in pes])
+        if mode_a and len(out) == m:
+            out = [pe["X"].value for pe in pes]  # what the last MOVE latched
+        value = _string_value(sr, out, m)
         return self._finish(machine, value, mats, phase_values)
 
     # ------------------------------------------------------------------
@@ -561,28 +562,33 @@ class PipelinedMatrixStringArray(_MatrixStringArray):
         tick ``s + i`` inside the phase) and needs matrix element
         ``mat[i, s]`` then — the skewed feed the paper's Figure 3(a)
         depicts.  Tick ``t`` of the skew therefore drives only PEs
-        ``max(0, t-m+1) … min(t, m-1)``.
+        ``max(0, t-m+1) … min(t, rows-1)``.  Only the first ``rows`` PEs
+        hold a result: a leftmost ``1 × m`` row is P₁ alone, the stream
+        "shifted into P₁" and passed on to no one.
         """
         sr = self.sr
         pes = machine.pes
         m = len(pes)
         if len(moving) != m:
             raise SystolicError(f"moving stream has {len(moving)} elements, expected {m}")
-        for pe in pes:
+        rows = _rows(mat)
+        n_rows = len(rows)
+        shifts = n_rows == m
+        for pe in pes[:n_rows]:
             pe["ACC"].set(sr.zero)
         machine.latch()
-        rows = _rows(mat)
         add, mul = sr.scalar_ops
-        for t in range(2 * m - 1):
+        for t in range(m + n_rows - 1):
             observed = machine.observed
-            lo, hi = max(0, t - m + 1), min(t, m - 1)
+            lo, hi = max(0, t - m + 1), min(t, n_rows - 1)
             for i in range(lo, hi + 1):
                 pe = pes[i]
                 s = t - i
                 machine.enter_pe(i)
                 x_in = moving[s] if i == 0 else pes[i - 1]["R"].value
                 pe["ACC"].set(add(pe["ACC"].value, mul(rows[i][s], x_in)))
-                pe["R"].set(x_in)
+                if shifts:
+                    pe["R"].set(x_in)
                 machine.exit_pe()
                 pe.count_op()
                 if observed:
@@ -592,7 +598,7 @@ class PipelinedMatrixStringArray(_MatrixStringArray):
                     )
             machine.stats.input_words += hi - lo + 1  # one matrix element per active PE
             machine.end_tick(advance=t < m)  # overlapped schedule: m ticks per phase
-        return [pe["ACC"].value for pe in pes]
+        return [pe["ACC"].value for pe in pes[:n_rows]]
 
     def _phase_b(
         self,
@@ -604,17 +610,19 @@ class PipelinedMatrixStringArray(_MatrixStringArray):
         Partial ``y_s`` enters P₁ at local step ``s`` and picks up
         ``mat[s, i] ⊗ x_i`` at PE ``i`` — the transposed feed (column
         ``i`` of the matrix into ``P_i``) of the paper.  The skew is the
-        one of :meth:`_phase_a`.
+        one of :meth:`_phase_a`, with ``rows`` partials: a leftmost
+        ``1 × m`` row sends one partial through every PE.
         """
         sr = self.sr
         pes = machine.pes
         m = len(pes)
-        out: list[float] = [sr.zero] * m
         rows = _rows(mat)
+        n_rows = len(rows)
+        out: list[float] = [sr.zero] * n_rows
         add, mul = sr.scalar_ops
-        for t in range(2 * m - 1):
+        for t in range(m + n_rows - 1):
             observed = machine.observed
-            lo, hi = max(0, t - m + 1), min(t, m - 1)
+            lo, hi = max(0, t - n_rows + 1), min(t, m - 1)
             for i in range(lo, hi + 1):
                 pe = pes[i]
                 s = t - i
@@ -631,70 +639,9 @@ class PipelinedMatrixStringArray(_MatrixStringArray):
             machine.stats.input_words += hi - lo + 1
             machine.end_tick(advance=t < m)
             s_last = t - (m - 1)
-            if 0 <= s_last < m:
+            if 0 <= s_last < n_rows:
                 out[s_last] = pes[m - 1]["Y"].value
         return out
-
-    def _scalar_phase_a(
-        self,
-        machine: SystolicMachine,
-        row: np.ndarray,
-        moving: list[float],
-    ) -> float:
-        """Final row-vector product with a *moving* input: P₁ alone
-        accumulates the scalar as the stream and the row elements arrive
-        ("input vectors A and f(B) are shifted into P₁")."""
-        sr = self.sr
-        pes = machine.pes
-        m = len(pes)
-        if len(moving) != m:
-            raise SystolicError("moving stream width mismatch in scalar phase")
-        pe = pes[0]
-        pe["ACC"].set(sr.zero)
-        machine.latch()
-        elems = _rows(row)[0]
-        add, mul = sr.scalar_ops
-        for s in range(m):
-            machine.enter_pe(0)
-            pe["ACC"].set(add(pe["ACC"].value, mul(elems[s], moving[s])))
-            machine.exit_pe()
-            pe.count_op()
-            if machine.observed:
-                machine.emit(
-                    "op", 0, f"p{machine.phase}:x{s + 1}",
-                    tick=machine.overlapped_tick(0, s),
-                )
-            machine.stats.input_words += 1
-            machine.end_tick()
-        return float(pe["ACC"].value)
-
-    def _scalar_phase_b(
-        self,
-        machine: SystolicMachine,
-        row: np.ndarray,
-    ) -> float:
-        """Final row-vector product with a *stationary* input: one moving
-        partial traverses the array, gathering ``row[0, i] ⊗ x_i``."""
-        sr = self.sr
-        pes = machine.pes
-        m = len(pes)
-        elems = _rows(row)[0]
-        add, mul = sr.scalar_ops
-        for t in range(m):
-            pe = pes[t]
-            machine.enter_pe(t)
-            part_in = sr.zero if t == 0 else pes[t - 1]["Y"].value
-            pe["Y"].set(add(part_in, mul(elems[t], pe["X"].value)))
-            machine.exit_pe()
-            pe.count_op()
-            if machine.observed:
-                machine.emit(
-                    "op", t, f"p{machine.phase}:y1",
-                    tick=machine.overlapped_tick(t, 0),
-                )
-            machine.stats.input_words += 1
-            machine.end_tick()
-        return float(pes[m - 1]["Y"].value)
 
 
 def _rows(mat: np.ndarray) -> list[list[float]]:

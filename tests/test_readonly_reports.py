@@ -146,6 +146,26 @@ class TestReadOnlyRoundTrips:
             clone.detail.subproblem_completion[(1, 1)] = 0
         assert_nothing_writable(clone.detail)
 
+    # The routes whose reports hold only the results that restore the
+    # read-only rule on unpickling (``repro._readonly.restore_read_only``)
+    # or go through their constructor (the parenthesizers').
+    @pytest.mark.parametrize("backend", ["rtl", "fast"])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            "node-feedback", "graph-pipelined", "graph-broadcast",
+            "chain-systolic", "chain-broadcast",
+        ],
+    )
+    def test_unpickled_reports_equal_and_stay_read_only(self, route, backend, rng):
+        problems, prefer, _method = _problems(route, rng)
+        reports = [solve(p, prefer=prefer, backend=backend) for p in problems]
+        reports += solve_batch(problems, prefer=prefer, backend=backend).reports
+        for report in reports:
+            clone = pickle.loads(pickle.dumps(report))
+            assert clone == report
+            assert_nothing_writable(clone)
+
     def test_one_matrix_chain_product_leaves_the_input_writable(self):
         from repro.dnc import simulate_chain_product
 
