@@ -12,7 +12,9 @@ untraced modes have no events and share one digest; the two traced modes
 share another, because a clean strict run emits nothing extra and
 reports ``hazards == 0``.  The fault-plan cases also pin the injector's
 record of every fault that took effect, and the observed cases the
-per-phase boundary vectors of the one-row strings.
+per-phase boundary vectors of the one-row strings.  Every Fig. 5 problem
+here has scalar and block costs that agree bit for bit, so its digests
+hold whichever of the two the F unit evaluates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.graphs import traffic_light_problem
+from repro.graphs import gain_schedule_problem, traffic_light_problem
 from repro.systolic import (
     BroadcastMatrixStringArray,
     BroadcastParenthesizer,
@@ -56,8 +58,19 @@ def _broadcast(seed, n_mats, m, row_vector=False, **options):
     return lambda **kw: arr.run(mats, **options, **kw)
 
 
-def _feedback(seed, n_stages, m):
-    problem = traffic_light_problem(np.random.default_rng(seed), n_stages, m)
+#: The Fig. 5 cases' problems.  Each one's scalar ``edge_cost`` (on 0-d
+#: operands) equals its cost block bit for bit
+#: (:func:`test_feedback_scalar_costs_equal_block_costs`), so a digest
+#: does not depend on which of the two the F unit reads.
+FEEDBACK_PROBLEMS = {
+    "fig5": lambda: traffic_light_problem(np.random.default_rng(31), 6, 4),
+    "fig5-m1": lambda: traffic_light_problem(np.random.default_rng(32), 4, 1),
+    "fig5-gain": lambda: gain_schedule_problem(np.random.default_rng(33), 16, 8),
+}
+
+
+def _feedback(name):
+    problem = FEEDBACK_PROBLEMS[name]()
     arr = FeedbackSystolicArray()
     return lambda **kw: arr.run(problem, **kw)
 
@@ -84,8 +97,9 @@ CASES = {
     "fig4-row": lambda: _broadcast(22, 4, 4, row_vector=True),
     "fig4-row-decisions": lambda: _broadcast(22, 4, 4, row_vector=True, track_decisions=True),
     "fig4-m1": lambda: _broadcast(24, 3, 1),
-    "fig5": lambda: _feedback(31, 6, 4),
-    "fig5-m1": lambda: _feedback(32, 4, 1),
+    "fig5": lambda: _feedback("fig5"),
+    "fig5-m1": lambda: _feedback("fig5-m1"),
+    "fig5-gain": lambda: _feedback("fig5-gain"),
     "mesh": lambda: _mesh(41, 4, 3),
     "paren-broadcast": lambda: _paren(BroadcastParenthesizer(), 51, 9),
     "paren-systolic": lambda: _paren(SystolicParenthesizer(), 52, 9),
@@ -133,6 +147,22 @@ FAULT_PLANS = {
             FaultSpec(mode="drop_delivery", pe=1, reg="K", tick=6),
             FaultSpec(mode="transient_flip", pe=2, reg="PAIR", tick=10, delta=5.0),
         ),
+    ),
+    # K faults on the rtl_arrays-sized gain case: each leaves a K that is
+    # not the predecessor stage's own value, so the F unit must evaluate
+    # g on the corrupted operand.  fig5-gain-dup-k captures P4's K at
+    # tick 35 and replays it over stage 4's delivery latched at tick 36.
+    "fig5-gain-flip-k": (
+        "fig5-gain",
+        (FaultSpec(mode="transient_flip", pe=2, reg="K", tick=40, delta=0.25),),
+    ),
+    "fig5-gain-stuck-k": (
+        "fig5-gain",
+        (FaultSpec(mode="stuck_at", pe=5, reg="K", tick=60, duration=12, value=0.5),),
+    ),
+    "fig5-gain-dup-k": (
+        "fig5-gain",
+        (FaultSpec(mode="duplicate_delivery", pe=3, reg="K", tick=35),),
     ),
 }
 
@@ -204,7 +234,8 @@ def observed_digest(name):
 #: ``(untraced digest, traced digest)`` per case, recorded on the
 #: latch-every-register machine (``fig4-row-decisions``, ``fig4-m1`` and
 #: the one-row fault plans on the machine that ran a one-row phase as
-#: its own scalar routine).
+#: its own scalar routine; ``fig5-gain`` and its K-fault plans on the F
+#: unit that called ``edge_cost`` at every op).
 GOLDEN = {
     "fig3": ("341340c6c358ba6ab71e1fa26c519144a52cb7d77dedea06040228bd40c99625",
              "7b633ad64ad2aab571affe3a0c272300f292d970882df1660fb967e71a044d57"),
@@ -226,6 +257,8 @@ GOLDEN = {
              "d6d2e9b16403abf3ee74165eb6df769c8276fe2729f307cac85973e503810a66"),
     "fig5-m1": ("be2e63dd1ce449aa19a992a0efa819958affb6607e71bf5685aa9097cab6b708",
                 "d4ebf5cc964b4028f0ee30dfaa64c96b020d352ceceb7a1055afc0a7e4bd65fc"),
+    "fig5-gain": ("c26fefa1ba4697ff31e556061e310cd98eb23441ac72a2a3abf7cc4a318bb172",
+                  "ea106c359e5b3c91362b7aff41c667c82d388dac18b727880cb45f2aca0f322e"),
     "mesh": ("a0fe15d266a76c0ef6dbfd14384240e27c16c4d2cd0132fedbaf7c3513a0fd45",
              "b92e955c8b68889d4002b922894a3ee7d3ed3e73a15e49023f5fbeff229b1053"),
     "paren-broadcast": ("826d228d24fb72f4b8962d60832ea906caee09c44c201d19a2474b7b6e6fc762",
@@ -245,6 +278,12 @@ GOLDEN_FAULTS = {
                     "bee95eecc7237833b0ec5df318123c185ffe63e2c74092f61e27b8e7dd0ab8bb"),
     "fig5-drop-flip": ("610d40ed5c61ab8b5f77687698a79be63213bd478aba54b7cc126e220affe91f",
                        "9e54011cef438e7defe6b86c26047be1bac1b1865e3acf5c4740e6d512154f25"),
+    "fig5-gain-flip-k": ("2bff2fd56a51abfd6ff63518102e8f64e0dd92cfb4ac871e4c73289e387989ba",
+                         "ab08c3434e204ae24fc88e20b8932f7a679375c8095e383bc3995d0b18d6651b"),
+    "fig5-gain-stuck-k": ("c3045f584fd5d3c6b0256129b7b69ae69e8bc2348879f36d53cea0bd6e946e0d",
+                          "f00aa67a75cb5aa8a38f760ee69d1634089c4f63fdf283faa1c4713734c6cd3e"),
+    "fig5-gain-dup-k": ("d726d688707b3a5956a798aa1bdc9aa792648c4c049b41b6bc596f6f3523e91c",
+                        "e69791ebdbe8ee09ff056f2ea44745998e77a1c03943242e400ef33f0f4a231f"),
 }
 
 
@@ -275,3 +314,17 @@ GOLDEN_OBSERVED = {
 @pytest.mark.parametrize("name", GOLDEN_OBSERVED)
 def test_observed_phase_values_match_golden(name):
     assert observed_digest(name) == GOLDEN_OBSERVED[name]
+
+
+@pytest.mark.parametrize("name", FEEDBACK_PROBLEMS)
+def test_feedback_scalar_costs_equal_block_costs(name):
+    problem = FEEDBACK_PROBLEMS[name]()
+    block = problem.cost_blocks[0]
+    scalar = [
+        [
+            [float(problem.edge_cost(np.asarray(x), np.asarray(y))) for y in ys]
+            for x in xs
+        ]
+        for xs, ys in zip(problem.values, problem.values[1:])
+    ]
+    assert scalar == block.tolist()
