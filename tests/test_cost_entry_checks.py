@@ -27,12 +27,26 @@ from repro.graphs import (
 )
 from repro.io import graph_from_dict, load_graph
 from repro.semiring import MAX_PLUS, MIN_PLUS, standard
-from repro.systolic import BroadcastMatrixStringArray, PipelinedMatrixStringArray
+from repro.systolic import (
+    BroadcastMatrixStringArray,
+    FeedbackSystolicArray,
+    PipelinedMatrixStringArray,
+)
 
 inf = np.inf
 
 #: Both matrix-string arrays check their operands once at entry.
 STRING_ARRAYS = (PipelinedMatrixStringArray, BroadcastMatrixStringArray)
+
+
+def _assert_feedback_rejects(problem, message):
+    """Both Fig. 5 backends raise at entry; rtl before its first tick."""
+    events = []
+    for kw in ({"backend": "fast"}, {"backend": "rtl"}, {"sinks": (events.append,)}):
+        with pytest.raises(GraphError, match=message):
+            FeedbackSystolicArray().run(problem, **kw)
+    assert events == []
+
 
 #: Without the overflow rule the unguarded forward sweep returns NaN here:
 #: -1e308 + -1e308 overflows to -inf, which then meets the +inf edge.
@@ -65,6 +79,13 @@ class TestWrongInfinity:
             problem.cost_matrix(0)
         with pytest.raises(GraphError, match="wrong infinity"):
             solve(problem)
+
+    def test_feedback_array_edge_cost(self):
+        problem = NodeValueProblem(
+            values=([0.0, 1.0], [0.0, 1.0], [0.0, 1.0]),
+            edge_cost=lambda x, y: np.where(x > y, -inf, y - x),
+        )
+        _assert_feedback_rejects(problem, "edge_cost returned -inf in layer 0")
 
     def test_pipelined_array_raw_matrices(self):
         mats = [np.array([[1.0, 2.0]]), np.array([[0.0, -inf], [1.0, 1.0]]),
@@ -131,6 +152,13 @@ class TestNanMessages:
             for backend in ("rtl", "fast"):
                 with pytest.raises(GraphError, match="NaN in layer 0"):
                     array().run(mats, backend=backend)
+
+    def test_feedback_array_edge_cost(self):
+        problem = NodeValueProblem(
+            values=([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]),
+            edge_cost=lambda x, y: np.where(x > y, np.nan, y - x),
+        )
+        _assert_feedback_rejects(problem, "edge_cost returned NaN in layer 0")
 
 
 def _random_graph(rng: np.random.Generator, semiring) -> MultistageGraph:

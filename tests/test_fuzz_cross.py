@@ -24,7 +24,18 @@ from hypothesis import strategies as st
 from repro import solve, solve_batch
 from repro.dnc import simulate_chain_product
 from repro.dp import solve_backward, solve_forward, solve_polyadic
-from repro.graphs import MultistageGraph, NodeValueProblem, random_multistage
+from repro.graphs import (
+    MultistageGraph,
+    NodeValueProblem,
+    circuit_design_problem,
+    fluid_flow_problem,
+    gain_schedule_problem,
+    inventory_problem,
+    production_problem,
+    random_multistage,
+    scheduling_problem,
+    traffic_light_problem,
+)
 from repro.search import branch_and_bound
 from repro.semiring import MAX_PLUS, MIN_PLUS, PLUS_TIMES, chain_product
 from repro.systolic import (
@@ -215,6 +226,17 @@ def test_fuzz_broadcast_backends_bit_identical(seed, n_layers, m, sr_idx, leftmo
             assert np.array_equal(d_rtl, d_fast)
 
 
+def _assert_feedback_bit_identical(problem, what):
+    arr = FeedbackSystolicArray()
+    rtl = arr.run(problem, backend="rtl")
+    fast = arr.run(problem, backend="fast")
+    assert rtl.optimum == fast.optimum, what
+    assert rtl.path.nodes == fast.path.nodes, what
+    assert rtl.final_stage_values.tolist() == fast.final_stage_values.tolist(), what
+    _assert_reports_match(rtl.report, fast.report, what)
+    assert dataclasses.replace(rtl.report, backend="fast") == fast.report, what
+
+
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n_stages=st.integers(min_value=2, max_value=6),
@@ -222,22 +244,50 @@ def test_fuzz_broadcast_backends_bit_identical(seed, n_layers, m, sr_idx, leftmo
 )
 @settings(max_examples=40, deadline=None, derandomize=True, print_blob=True)
 def test_fuzz_feedback_backends_bit_identical(seed, n_stages, m):
-    from repro.graphs import NodeValueProblem
-
     note(f"instance seed={seed}")
     rng = np.random.default_rng(seed)
     values = tuple(rng.integers(-5, 6, m).astype(float) for _ in range(n_stages))
     p = NodeValueProblem(
         values=values, edge_cost=lambda a, b: np.abs(a - b) - 2.0
     )
-    arr = FeedbackSystolicArray()
-    rtl = arr.run(p, backend="rtl")
-    fast = arr.run(p, backend="fast")
-    assert rtl.optimum == fast.optimum
-    assert rtl.path.nodes == fast.path.nodes
-    assert np.array_equal(rtl.final_stage_values, fast.final_stage_values)
-    _assert_reports_match(rtl.report, fast.report, (n_stages, m))
-    assert dataclasses.replace(rtl.report, backend="fast") == fast.report
+    _assert_feedback_bit_identical(p, (n_stages, m))
+
+
+#: Every node-value generator; each takes ``(rng, stages, width)``
+#: (``inventory_problem``'s width is its stock cap, so it has one more
+#: value per stage).
+NODE_VALUE_GENERATORS = (
+    traffic_light_problem,
+    circuit_design_problem,
+    fluid_flow_problem,
+    scheduling_problem,
+    inventory_problem,
+    production_problem,
+    gain_schedule_problem,
+)
+
+
+@pytest.mark.parametrize("generator", NODE_VALUE_GENERATORS, ids=lambda g: g.__name__)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_stages=st.integers(min_value=2, max_value=8),
+    m=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=25, deadline=None, derandomize=True, print_blob=True)
+def test_fuzz_feedback_generators_bit_identical(generator, seed, n_stages, m):
+    # Real-valued costs with squares, so a scalar g on 0-d operands could
+    # round differently from the cost block the fast kernel reads.
+    note(f"instance seed={seed}")
+    problem = generator(np.random.default_rng(seed), n_stages, m)
+    _assert_feedback_bit_identical(problem, (generator.__name__, seed, n_stages, m))
+
+
+def test_feedback_circuit_seed156_bit_identical():
+    # 0-d ``**2`` rounded one entry of this instance 1 ulp away from the
+    # block: rtl gave 0.8979416223291321 against fast 0.897941622329132.
+    problem = circuit_design_problem(np.random.default_rng(156), 8, 4)
+    _assert_feedback_bit_identical(problem, "circuit seed 156")
+    assert FeedbackSystolicArray().run(problem).optimum == 0.897941622329132
 
 
 @given(
