@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..semiring import MultiplyNode
 from ..systolic.mesh_array import mesh_cycles
 from .engine import Task
 
@@ -68,29 +69,31 @@ def tasks_balanced_tree(
     """The Section-4 balanced binary AND-tree as a uniform task graph.
 
     ``n`` leaves (resident matrices), ``n − 1`` internal multiply tasks
-    of equal ``duration`` — the setting of eq. (29).  Note the adaptive
-    round scheduler of :func:`repro.dnc.rounds_only` re-pairs segments
-    each round (choosing its own tree), so it *lower-bounds* any
-    schedule of this fixed tree; the fixed balanced tree matches it at
-    K = 1 and K ≥ n/2 and loses slightly in between — a reproduction
-    observation the tests pin down.
+    of equal ``duration`` — the setting of eq. (29).  The tree is
+    :meth:`MultiplyNode.balanced(0, n) <repro.semiring.MultiplyNode.balanced>`,
+    the one :func:`~repro.semiring.chain_product_tree` evaluates; each
+    internal node covering leaves ``lo … hi − 1`` becomes task
+    ``"t<lo>_<hi>"``, emitted children first.  Note the adaptive round
+    scheduler of :func:`repro.dnc.rounds_only` re-pairs segments each
+    round (choosing its own tree), so it *lower-bounds* any schedule of
+    this fixed tree; the fixed balanced tree matches it at K = 1 and
+    K ≥ n/2 and loses slightly in between — a reproduction observation
+    the tests pin down.
     """
-    if n < 1:
-        raise ValueError("need at least one leaf")
     tasks: list[Task] = []
 
-    def build(lo: int, hi: int) -> str | None:
-        if hi - lo == 1:
+    def build(node: MultiplyNode) -> str | None:
+        if node.is_leaf:
             return None
-        mid = (lo + hi + 1) // 2
-        left = build(lo, mid)
-        right = build(mid, hi)
-        name = f"t{lo}_{hi}"
+        assert node.left is not None and node.right is not None
+        left = build(node.left)
+        right = build(node.right)
+        name = f"t{node.lo}_{node.hi}"
         deps = tuple(d for d in (left, right) if d is not None)
         tasks.append(Task(name=name, duration=duration, deps=deps))
         return name
 
-    root = build(0, n)
+    root = build(MultiplyNode.balanced(0, n))
     if root is None:
         root = "t0_1"
         tasks.append(Task(name=root, duration=0.0))

@@ -8,7 +8,6 @@ behind Figure 6.
 
 from .analysis import (
     ScheduleTime,
-    ShardPlan,
     argmin_kt2,
     asymptotic_pu,
     asymptotic_pu_limit,
@@ -17,17 +16,13 @@ from .analysis import (
     kt2,
     kt2_curve,
     optimal_granularity,
-    plan_shards,
     processor_utilization,
     schedule_time,
 )
 from .schedule import ChainScheduleResult, rounds_only, simulate_chain_product
-from .tree import AndTreeNode, balanced_tree, schedule_tree_height
 
 __all__ = [
     "ScheduleTime",
-    "ShardPlan",
-    "plan_shards",
     "schedule_time",
     "processor_utilization",
     "asymptotic_pu",
@@ -41,7 +36,4 @@ __all__ = [
     "ChainScheduleResult",
     "simulate_chain_product",
     "rounds_only",
-    "AndTreeNode",
-    "balanced_tree",
-    "schedule_tree_height",
 ]

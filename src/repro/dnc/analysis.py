@@ -24,8 +24,6 @@ import numpy as np
 
 __all__ = [
     "ScheduleTime",
-    "ShardPlan",
-    "plan_shards",
     "schedule_time",
     "processor_utilization",
     "asymptotic_pu",
@@ -72,85 +70,6 @@ def schedule_time(n: int, k: int) -> ScheduleTime:
     residue = n + k - 1 - k * t_c
     t_w = int(math.floor(math.log2(residue))) if residue >= 1 else 0
     return ScheduleTime(n, k, t_c, t_w)
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardPlan:
-    """An eq.-(29)-guided partition of ``num_items`` across workers.
-
-    Reuses the Section-4 granularity machinery with worker processes
-    standing in for the paper's ``K`` systolic arrays: the worker count
-    is the integer argmin of ``K·T²`` over ``[1, max_workers]`` (the
-    Figure-6 ordinate, minimized near ``N/log₂N`` by Theorem 1), and the
-    shard sizes mirror the two phases of eq. (29) — ``K`` equal
-    computation-phase shards of ``T_c`` items each, then a halving
-    wind-down tail for the residue, so stragglers shrink geometrically
-    the way the wind-down tree does.
-    """
-
-    num_items: int
-    num_workers: int
-    sizes: tuple[int, ...]
-    schedule: ScheduleTime
-    kt2: float
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.sizes)
-
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        """Half-open ``[start, stop)`` item ranges, one per shard."""
-        out: list[tuple[int, int]] = []
-        start = 0
-        for size in self.sizes:
-            out.append((start, start + size))
-            start += size
-        return tuple(out)
-
-
-def plan_shards(
-    num_items: int, max_workers: int, *, strategy: str = "kt2"
-) -> ShardPlan:
-    """Partition ``num_items`` work items across at most ``max_workers``.
-
-    ``strategy="kt2"`` (default) picks the worker count minimizing the
-    eq.-(29) ``K·T²`` over ``[1, max_workers]`` and emits computation
-    shards of ``T_c`` items plus a halving wind-down tail;
-    ``strategy="even"`` is the naive ablation baseline — all
-    ``max_workers`` workers, sizes as equal as possible.  Sizes always
-    sum to ``num_items`` and are all positive.
-    """
-    if num_items < 0:
-        raise ValueError("num_items must be nonnegative")
-    if max_workers < 1:
-        raise ValueError("need at least one worker")
-    if num_items == 0:
-        return ShardPlan(0, 1, (), ScheduleTime(1, 1, 0, 0), 0.0)
-    if strategy == "even":
-        k = min(max_workers, num_items)
-        base, rem = divmod(num_items, k)
-        sizes = tuple(base + (1 if i < rem else 0) for i in range(k))
-        return ShardPlan(num_items, k, sizes, schedule_time(num_items, k), kt2(num_items, k))
-    if strategy != "kt2":
-        raise ValueError(f"unknown shard strategy {strategy!r}")
-    k = min(max_workers, num_items)
-    best_k, _best_v = 1, float("inf")
-    for cand in range(1, k + 1):
-        v = kt2(num_items, cand)
-        if v < _best_v:
-            best_k, _best_v = cand, v
-    sched = schedule_time(num_items, best_k)
-    sizes: list[int] = []
-    if sched.computation > 0:
-        sizes.extend([sched.computation] * best_k)
-    residue = num_items - sum(sizes)
-    # Wind-down: halve the remaining tail until it is gone, mirroring the
-    # ⌊log₂⌋ wind-down phase (the last shards shrink geometrically).
-    while residue > 0:
-        step = residue - residue // 2  # ceil(residue / 2)
-        sizes.append(step)
-        residue -= step
-    return ShardPlan(num_items, best_k, tuple(sizes), sched, _best_v)
 
 
 def processor_utilization(n: int, k: int, *, time: int | None = None) -> float:

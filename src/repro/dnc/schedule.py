@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .._readonly import read_only
+from .._readonly import fields_equal, read_only, restore_read_only
 from ..semiring import MIN_PLUS, Semiring, matmul
 
 __all__ = ["ChainScheduleResult", "simulate_chain_product", "rounds_only"]
@@ -50,6 +50,9 @@ class ChainScheduleResult:
     busy_per_round: tuple[int, ...]  # arrays active in each round
     total_multiplications: int  # always N - 1
     product: np.ndarray | None  # the chain product, when matrices given
+
+    __eq__ = fields_equal
+    __setstate__ = restore_read_only
 
     def __post_init__(self) -> None:
         read_only(self.product)

@@ -22,6 +22,7 @@ import dataclasses
 
 import numpy as np
 
+from .._readonly import fields_equal, restore_read_only
 from ..graphs import MultistageGraph, NodeValueProblem, StagePath
 from ..semiring import Semiring
 from .certificate import require_argreduce
@@ -60,6 +61,9 @@ class MonadicSolution:
     optimum: float
     path: StagePath
     op_count: int
+
+    __eq__ = fields_equal
+    __setstate__ = restore_read_only
 
 
 def _extract(sr: Semiring, values: np.ndarray) -> tuple[float, int]:

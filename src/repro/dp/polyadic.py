@@ -20,43 +20,9 @@ import dataclasses
 import numpy as np
 
 from ..graphs import MultistageGraph
-from ..semiring import matmul
+from ..semiring import MultiplyNode, chain_product_tree
 
 __all__ = ["MultiplyNode", "PolyadicSolution", "stage_cost_matrix", "solve_polyadic"]
-
-
-@dataclasses.dataclass(frozen=True)
-class MultiplyNode:
-    """One node of the divide-and-conquer AND-tree.
-
-    Leaves carry a single edge-layer index; internal nodes carry the
-    product of their children's stage ranges.  ``depth`` is the node's
-    height above the leaves (leaves are depth 0); the tree height bounds
-    the wind-down phase of the parallel schedule (Theorem 1).
-    """
-
-    lo: int  # first stage of the covered range
-    hi: int  # last stage of the covered range (product maps stage lo -> hi)
-    left: "MultiplyNode | None" = None
-    right: "MultiplyNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @property
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        assert self.left is not None and self.right is not None
-        return 1 + max(self.left.depth, self.right.depth)
-
-    def count_internal(self) -> int:
-        """Number of matrix multiplications in the subtree."""
-        if self.is_leaf:
-            return 0
-        assert self.left is not None and self.right is not None
-        return 1 + self.left.count_internal() + self.right.count_internal()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,33 +35,18 @@ class PolyadicSolution:
     num_multiplications: int
 
 
-def _build_tree(lo: int, hi: int) -> MultiplyNode:
-    """Balanced binary AND-tree over edge layers ``lo … hi - 1``."""
-    if hi - lo == 1:
-        return MultiplyNode(lo=lo, hi=hi)
-    mid = (lo + hi) // 2
-    return MultiplyNode(
-        lo=lo, hi=hi, left=_build_tree(lo, mid), right=_build_tree(mid, hi)
-    )
-
-
 def stage_cost_matrix(graph: MultistageGraph, i: int, j: int) -> np.ndarray:
     """Optimal-cost matrix between stage ``i`` and stage ``j > i`` (eq. 15).
 
     Entry ``(a, b)`` is the optimal cost from vertex ``a`` of stage ``i``
     to vertex ``b`` of stage ``j``, evaluated by the balanced
-    divide-and-conquer product.
+    divide-and-conquer product (:func:`~repro.semiring.chain_product_tree`
+    over layers ``i … j − 1``, whose splits are those of
+    ``MultiplyNode.balanced(i, j)``: ``(lo + hi) // 2`` moves with ``lo``).
     """
     if not 0 <= i < j < graph.num_stages:
         raise ValueError(f"need 0 <= i < j < {graph.num_stages}, got ({i}, {j})")
-
-    def evaluate(node: MultiplyNode) -> np.ndarray:
-        if node.is_leaf:
-            return graph.costs[node.lo]
-        assert node.left is not None and node.right is not None
-        return matmul(graph.semiring, evaluate(node.left), evaluate(node.right))
-
-    return evaluate(_build_tree(i, j))
+    return chain_product_tree(graph.semiring, graph.costs[i:j])
 
 
 def solve_polyadic(graph: MultistageGraph) -> PolyadicSolution:
@@ -107,7 +58,7 @@ def solve_polyadic(graph: MultistageGraph) -> PolyadicSolution:
     semiring matmul).  The optimum equals the monadic solvers' optimum on
     the same graph; tests assert this.
     """
-    tree = _build_tree(0, graph.num_layers)
+    tree = MultiplyNode.balanced(0, graph.num_layers)
     cost = stage_cost_matrix(graph, 0, graph.num_stages - 1)
     sr = graph.semiring
     optimum = float(sr.add_reduce(cost, axis=None))

@@ -11,7 +11,8 @@ instances instead of one:
   traced paths match too.
 * **Fig. 3 pipelined** — the right-to-left mat-vec chain of
   :mod:`repro.systolic.pipelined_array`: the broadcast-then-reduce of
-  :func:`repro.semiring.batched_matvec` with the raw ⊗ of checked costs.
+  :func:`repro.semiring.matvec` over the leading axes, with the raw ⊗ of
+  checked costs.
 
 ``solve()`` runs the same kernel body on one problem's cost blocks,
 and a batch on the members' blocks stacked stage-major, so a batch row

@@ -18,9 +18,9 @@ from .standard import (
     by_name,
 )
 from .matrix import (
+    MultiplyNode,
     batched_chain_product,
     batched_matmul,
-    batched_matvec,
     chain_product,
     chain_product_tree,
     closure,
@@ -45,12 +45,12 @@ __all__ = [
     "matmul",
     "matmul_with_arg",
     "batched_matmul",
-    "batched_matvec",
     "batched_chain_product",
     "matvec",
     "vecmat",
     "chain_product",
     "chain_product_tree",
+    "MultiplyNode",
     "matrix_power",
     "closure",
 ]

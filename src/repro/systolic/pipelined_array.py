@@ -167,9 +167,9 @@ def _matvec_chain(
     and ``runs[0][0][0]`` is the value.  A square block writes its stage
     vectors into one preallocated ``(n + 1, …, rows)`` array, of which
     ``values`` and ``inputs`` are views; a non-square block is a single
-    layer.  Each step is
-    :func:`~repro.semiring.batched_matvec`'s broadcast and reduction with
-    the raw ⊗, so the operands must have passed
+    layer.  Each step is :func:`~repro.semiring.matvec`'s broadcast and
+    reduction over the leading axes, ``add_reduce(mul(mat, x[..., None,
+    :]), axis=-1)``, with the raw ⊗, so the operands must have passed
     :func:`~repro.graphs.check_cost_layers` and have matching shapes.
     """
     mul, reduce = sr.raw_mul, sr.add_reduce

@@ -146,15 +146,16 @@ class TestReadOnlyRoundTrips:
             clone.detail.subproblem_completion[(1, 1)] = 0
         assert_nothing_writable(clone.detail)
 
-    # The routes whose reports hold only the results that restore the
-    # read-only rule on unpickling (``repro._readonly.restore_read_only``)
-    # or go through their constructor (the parenthesizers').
+    # Every result a report holds restores the read-only rule on
+    # unpickling (``repro._readonly.restore_read_only``) or goes through
+    # its constructor (the parenthesizers').
     @pytest.mark.parametrize("backend", ["rtl", "fast"])
     @pytest.mark.parametrize(
         "route",
         [
             "node-feedback", "graph-pipelined", "graph-broadcast",
             "chain-systolic", "chain-broadcast",
+            "node-sequential", "graph-sequential", "node-dnc", "graph-dnc",
         ],
     )
     def test_unpickled_reports_equal_and_stay_read_only(self, route, backend, rng):
