@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import pathlib
+import statistics
 from typing import Any
 
 __all__ = ["print_table", "write_bench_record"]
+
+#: The speed reference the end-to-end benchmark times beside its calls.
+SPEED_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "speed.py"
+#: Kernel runs per :func:`_speed_reference_s` reading.
+SPEED_SAMPLES = 201
 
 
 def print_table(title: str, headers: list[str], rows: list[list]) -> None:
@@ -21,6 +28,20 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
     print("  ".join("-" * w for w in widths))
     for r in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
+
+
+def _speed_reference_s() -> float:
+    """Median seconds of the ``perfbench/speed.py`` kernel on this host now.
+
+    The host's speed drifts over minutes; records that carry this figure
+    can be scaled to one another (a time times ``b / a`` reads as if
+    measured when the kernel took ``b``)."""
+    spec = importlib.util.spec_from_file_location("_perfbench_speed", SPEED_PY)
+    if spec is None or spec.loader is None:
+        raise ImportError(f"cannot load the speed reference {SPEED_PY}")
+    speed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(speed)
+    return statistics.median(speed.seconds() for _ in range(SPEED_SAMPLES))
 
 
 def write_bench_record(
@@ -40,10 +61,13 @@ def write_bench_record(
 
     Every benchmark writes the same shape — design, backend, problem
     size (N matrices × m values), wall-clock seconds, paper iterations,
-    PU, and the host's CPU count (``nproc``) — so downstream tooling (and the CI smoke step) can diff runs
-    without per-benchmark parsers.  ``out_dir`` defaults to the current
-    working directory; scratch records there are gitignored, while
-    records checked in deliberately live under ``benchmarks/results/``.
+    PU, the host's CPU count (``nproc``) and the speed reference's median
+    seconds when the record is written (``speed_reference_s``) — so
+    downstream tooling (and the CI smoke step) can diff runs without
+    per-benchmark parsers, and scale times taken on a faster or slower
+    host.  ``out_dir`` defaults to the current working directory; scratch
+    records there are gitignored, while records checked in deliberately
+    live under ``benchmarks/results/``.
     """
     record: dict[str, Any] = {
         "bench": name,
@@ -55,6 +79,7 @@ def write_bench_record(
         "iterations": int(iterations),
         "pu": float(pu),
         "nproc": os.cpu_count(),
+        "speed_reference_s": _speed_reference_s(),
     }
     if extra:
         record.update(extra)

@@ -31,23 +31,17 @@ Subpackages
 ``repro.telemetry`` — trace-bus observability: metrics, timelines, exporters.
 ``repro.faults``    — fault injection, ABFT detection, recovery policies.
 ``repro.exec``      — batch engine: stacked kernels, solve cache, one process.
+
+``andor``, ``search``, ``dataflow``, ``telemetry``, ``faults`` and ``io``
+(run records) take no part in a ``solve()`` call and load on first use:
+``repro.faults`` or ``from repro import andor`` imports the subpackage then.
 """
 
-from . import (
-    andor,
-    core,
-    dataflow,
-    dnc,
-    dp,
-    exec,
-    faults,
-    graphs,
-    io,
-    search,
-    semiring,
-    systolic,
-    telemetry,
-)
+import importlib
+from types import ModuleType
+from typing import TYPE_CHECKING
+
+from . import core, dnc, dp, exec, graphs, semiring, systolic
 from .core import (
     Arity,
     DPClass,
@@ -61,6 +55,14 @@ from .core import (
     solve,
 )
 from .exec import BatchResult, BatchStats, SolveCache, solve_batch
+
+if TYPE_CHECKING:
+    from . import andor, dataflow, faults, io, search, telemetry
+
+#: Subpackages no ``solve()`` / ``solve_batch()`` call runs: each loads on
+#: its first attribute access (PEP 562), so a cold ``import repro`` does not
+#: compile them.
+_LAZY_SUBPACKAGES = frozenset({"andor", "dataflow", "faults", "io", "search", "telemetry"})
 
 __version__ = "1.0.0"
 
@@ -93,3 +95,15 @@ __all__ = [
     "ValidationError",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> ModuleType:
+    if name in _LAZY_SUBPACKAGES:
+        # The import binds the subpackage in this module's namespace, so
+        # later accesses do not come back here.
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LAZY_SUBPACKAGES)

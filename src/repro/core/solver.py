@@ -557,7 +557,6 @@ def _solve_serial(
 
 def _sequential(rec: Recommendation, ref: Any) -> SolveReport:
     """The report of a route that is the sequential sweep ``ref`` itself."""
-    read_only((ref.stage_values, ref.decisions))
     return SolveReport(
         dp_class=rec.dp_class,
         method="sequential-sweep",

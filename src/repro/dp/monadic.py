@@ -22,7 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from .._readonly import fields_equal, restore_read_only
+from .._readonly import fields_equal, read_only, restore_read_only
 from ..graphs import MultistageGraph, NodeValueProblem, StagePath
 from ..semiring import Semiring
 from .certificate import require_argreduce
@@ -32,7 +32,7 @@ __all__ = ["MonadicSolution", "solve_backward", "solve_forward", "solve_node_val
 
 @dataclasses.dataclass(frozen=True)
 class MonadicSolution:
-    """Result of a monadic-serial DP sweep.
+    """Result of a monadic-serial DP sweep; its arrays are read-only.
 
     Attributes
     ----------
@@ -64,6 +64,9 @@ class MonadicSolution:
 
     __eq__ = fields_equal
     __setstate__ = restore_read_only
+
+    def __post_init__(self) -> None:
+        read_only((self.stage_values, self.decisions))
 
 
 def _extract(sr: Semiring, values: np.ndarray) -> tuple[float, int]:

@@ -19,6 +19,7 @@ import dataclasses
 
 import numpy as np
 
+from .._readonly import fields_equal, read_only, restore_read_only
 from ..graphs import MultistageGraph
 from ..semiring import MultiplyNode, chain_product_tree
 
@@ -27,12 +28,19 @@ __all__ = ["MultiplyNode", "PolyadicSolution", "stage_cost_matrix", "solve_polya
 
 @dataclasses.dataclass(frozen=True)
 class PolyadicSolution:
-    """Result of the divide-and-conquer evaluation of a multistage graph."""
+    """Result of the divide-and-conquer evaluation of a multistage graph;
+    ``cost_matrix`` is read-only."""
 
     cost_matrix: np.ndarray  # optimal costs, first stage x last stage
     optimum: float
     tree: MultiplyNode
     num_multiplications: int
+
+    __eq__ = fields_equal
+    __setstate__ = restore_read_only
+
+    def __post_init__(self) -> None:
+        read_only(self.cost_matrix)
 
 
 def stage_cost_matrix(graph: MultistageGraph, i: int, j: int) -> np.ndarray:

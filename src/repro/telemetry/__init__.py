@@ -23,18 +23,46 @@ See ``docs/observability.md`` for the naming scheme and CLI workflows
 (``python -m repro trace`` / ``compare``).
 """
 
-from .compare import MetricDelta, RunComparison
-from .export import chrome_trace, validate_chrome_trace, write_chrome_trace
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    MetricsSink,
-)
-from .timeline import PhaseSpan, TimelineSink, paper_reference_pu
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from .timing import TimingCollector, active_collector, collect_timings, span
+
+if TYPE_CHECKING:
+    from .compare import MetricDelta, RunComparison
+    from .export import chrome_trace, validate_chrome_trace, write_chrome_trace
+    from .metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricFamily,
+        MetricsRegistry,
+        MetricsSink,
+    )
+    from .timeline import PhaseSpan, TimelineSink, paper_reference_pu
+
+#: Public name -> the submodule that defines it, loaded on first access
+#: (PEP 562).  Only :mod:`.timing` loads with the package: the array
+#: fabric times every backend run under its spans, and nothing else here
+#: takes part in a solve.
+_LAZY: dict[str, str] = {
+    "MetricDelta": "compare",
+    "RunComparison": "compare",
+    "chrome_trace": "export",
+    "validate_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricFamily": "metrics",
+    "MetricsRegistry": "metrics",
+    "MetricsSink": "metrics",
+    "PhaseSpan": "timeline",
+    "TimelineSink": "timeline",
+    "paper_reference_pu": "timeline",
+}
 
 __all__ = [
     "Counter",
@@ -56,3 +84,16 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later accesses do not come back here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LAZY.keys())

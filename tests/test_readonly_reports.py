@@ -167,6 +167,20 @@ class TestReadOnlyRoundTrips:
             assert clone == report
             assert_nothing_writable(clone)
 
+    # The sequential oracles' results are read-only from construction, so
+    # the original and its clone agree, and ``==`` compares the arrays.
+    @pytest.mark.parametrize("oracle", ["solve_backward", "solve_forward", "solve_polyadic"])
+    def test_oracle_results_equal_and_are_read_only_before_and_after_pickling(self, oracle):
+        from repro import dp
+
+        graph = uniform_multistage(np.random.default_rng(0), 4, 3)
+        first, second = getattr(dp, oracle)(graph), getattr(dp, oracle)(graph)
+        assert first is not second and first == second
+        clone = pickle.loads(pickle.dumps(first))
+        assert clone == first
+        for result in (first, clone):
+            assert_nothing_writable(result, oracle)
+
     def test_one_matrix_chain_product_leaves_the_input_writable(self):
         from repro.dnc import simulate_chain_product
 
