@@ -9,11 +9,11 @@ import pathlib
 import statistics
 from typing import Any
 
-__all__ = ["print_table", "write_bench_record"]
+__all__ = ["print_table", "speed_kernel_s", "write_bench_record"]
 
 #: The speed reference the end-to-end benchmark times beside its calls.
 SPEED_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "speed.py"
-#: Kernel runs per :func:`_speed_reference_s` reading.
+#: Kernel runs per :func:`speed_kernel_s` reading.
 SPEED_SAMPLES = 201
 
 
@@ -30,12 +30,15 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
 
 
-def _speed_reference_s() -> float:
-    """Median seconds of the ``perfbench/speed.py`` kernel on this host now.
+def speed_kernel_s() -> float:
+    """Median seconds of the ``perfbench/speed.py`` kernel in this
+    interpreter now.
 
     The host's speed drifts over minutes; records that carry this figure
     can be scaled to one another (a time times ``b / a`` reads as if
-    measured when the kernel took ``b``)."""
+    measured when the kernel took ``b``).  A benchmark that runs its
+    timings in other interpreters calls it there, with ``benchmarks/`` on
+    ``sys.path``."""
     spec = importlib.util.spec_from_file_location("_perfbench_speed", SPEED_PY)
     if spec is None or spec.loader is None:
         raise ImportError(f"cannot load the speed reference {SPEED_PY}")
@@ -56,18 +59,20 @@ def write_bench_record(
     pu: float,
     extra: dict[str, Any] | None = None,
     out_dir: str | pathlib.Path | None = None,
+    speed_reference_s: float | None = None,
 ) -> pathlib.Path:
     """Emit a uniform ``BENCH_<name>.json`` record and return its path.
 
     Every benchmark writes the same shape — design, backend, problem
     size (N matrices × m values), wall-clock seconds, paper iterations,
     PU, the host's CPU count (``nproc``) and the speed reference's median
-    seconds when the record is written (``speed_reference_s``) — so
-    downstream tooling (and the CI smoke step) can diff runs without
-    per-benchmark parsers, and scale times taken on a faster or slower
-    host.  ``out_dir`` defaults to the current working directory; scratch
-    records there are gitignored, while records checked in deliberately
-    live under ``benchmarks/results/``.
+    seconds (``speed_reference_s``) — so downstream tooling (and the CI
+    smoke step) can diff runs without per-benchmark parsers, and scale
+    times taken on a faster or slower host.  Pass ``speed_reference_s``
+    when it was timed beside the measurements; without it, the kernel is
+    timed here, once, after them.  ``out_dir`` defaults to the current
+    working directory; scratch records there are gitignored, while records
+    checked in deliberately live under ``benchmarks/results/``.
     """
     record: dict[str, Any] = {
         "bench": name,
@@ -79,7 +84,9 @@ def write_bench_record(
         "iterations": int(iterations),
         "pu": float(pu),
         "nproc": os.cpu_count(),
-        "speed_reference_s": _speed_reference_s(),
+        "speed_reference_s": (
+            speed_kernel_s() if speed_reference_s is None else float(speed_reference_s)
+        ),
     }
     if extra:
         record.update(extra)

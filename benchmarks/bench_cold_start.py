@@ -18,14 +18,17 @@ bytecode cache:
 
 Building the problem is not timed.  Each interpreter also counts the
 ``repro`` modules loaded after the import and after the solve, and times
-the ``perfbench/speed.py`` kernel (its median, ``speed_s``) so runs on a
-faster or slower host can be scaled to one another.  Probes alternate
-within each repeat; each figure is the median over the repeats.
+the ``perfbench/speed.py`` kernel (``_benchutil.speed_kernel_s``, recorded
+as ``speed_s``) so runs on a faster or slower host can be scaled to one
+another; the record's ``speed_reference_s`` is the median of the
+probes' ``speed_s`` medians, so it was timed beside the measurements.
+Probes alternate within each repeat; each figure is the median over the
+``REPEATS`` repeats.
 
 The checked-in ``BENCH_cold_start.json`` under ``benchmarks/results/``
 is regenerated by running this file directly::
 
-    PYTHONPATH=src python benchmarks/bench_cold_start.py [--parent PATH] [--repeats N]
+    PYTHONPATH=src python benchmarks/bench_cold_start.py [--parent PATH]
 
 ``--parent`` embeds, under ``"parent"``, the record this same script
 writes when run in a checkout of the code before the change.  Import
@@ -47,10 +50,9 @@ import sys
 from _benchutil import print_table, write_bench_record
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+BENCH_DIR = pathlib.Path(__file__).resolve().parent
+RESULTS_DIR = BENCH_DIR / "results"
 REPEATS = 15
-#: Speed-kernel runs per interpreter.
-SPEED_SAMPLES = 51
 
 #: Probe name -> (problem expression, backend, the method it routes to);
 #: ``None`` probes the import alone.
@@ -76,7 +78,7 @@ import numpy
 t1 = time.perf_counter()
 import repro
 t2 = time.perf_counter()
-import json, statistics, sys
+import json, sys
 
 def modules():
     return sum(m == "repro" or m.startswith("repro.") for m in sys.modules)
@@ -98,9 +100,9 @@ if not (report.validated and report.method.startswith({method!r})):
 """
 #: Last, the speed reference.
 SPEED = """\
-sys.path.insert(0, {perfbench!r})
-import speed
-out["speed_s"] = statistics.median(speed.seconds() for _ in range({samples!r}))
+sys.path.insert(0, {benchmarks!r})
+from _benchutil import speed_kernel_s
+out["speed_s"] = speed_kernel_s()
 print(json.dumps(out))
 """
 
@@ -111,7 +113,7 @@ def _probe(spec: tuple[str, str, str] | None) -> dict:
     if spec is not None:
         problem, backend, method = spec
         code += SOLVE.format(problem=problem, backend=backend, method=method)
-    code += SPEED.format(perfbench=str(ROOT / "perfbench"), samples=SPEED_SAMPLES)
+    code += SPEED.format(benchmarks=str(BENCH_DIR))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True,
@@ -169,6 +171,7 @@ def _record(probes: dict, out_dir: pathlib.Path, parent: dict | None = None) -> 
         extra["parent"] = {
             key: parent[key] for key in ("nproc", "speed_reference_s", "probes") if key in parent
         }
+    speeds = [p["speed_s_median"] for p in probes.values()]
     return write_bench_record(
         "cold_start",
         design="solve-path",
@@ -180,6 +183,7 @@ def _record(probes: dict, out_dir: pathlib.Path, parent: dict | None = None) -> 
         pu=0.0,
         extra=extra,
         out_dir=out_dir,
+        speed_reference_s=statistics.median(speeds),
     )
 
 
@@ -197,11 +201,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=pathlib.Path,
                         help="a record of this script from the code before the change")
-    parser.add_argument("--repeats", type=int, default=REPEATS,
-                        help=f"fresh interpreters per probe (default {REPEATS})")
     args = parser.parse_args()
     parent = json.loads(args.parent.read_text()) if args.parent else None
-    probes = _measure(args.repeats)
+    probes = _measure(REPEATS)
     _print(probes, parent)
     print(f"wrote {_record(probes, RESULTS_DIR, parent)}")
 

@@ -97,13 +97,17 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str) -> ModuleType:
-    if name in _LAZY_SUBPACKAGES:
-        # The import binds the subpackage in this module's namespace, so
-        # later accesses do not come back here.
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+if not TYPE_CHECKING:
+    # Hidden from mypy: it would take __getattr__'s return type for every
+    # name it cannot find, so a misspelt ``repro.<name>`` would pass.  The
+    # TYPE_CHECKING imports above give it the real subpackages.
 
+    def __getattr__(name: str) -> ModuleType:
+        if name in _LAZY_SUBPACKAGES:
+            # The import binds the subpackage in this module's namespace, so
+            # later accesses do not come back here.
+            return importlib.import_module(f".{name}", __name__)
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _LAZY_SUBPACKAGES)
+    def __dir__() -> list[str]:
+        return sorted(set(globals()) | _LAZY_SUBPACKAGES)

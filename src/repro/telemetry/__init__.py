@@ -86,14 +86,18 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later accesses do not come back here
-    return value
+if not TYPE_CHECKING:
+    # Hidden from mypy, which would otherwise type every unknown name as
+    # __getattr__'s return; the TYPE_CHECKING imports above give it the
+    # real ones.
 
+    def __getattr__(name: str) -> Any:
+        module = _LAZY.get(name)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        globals()[name] = value  # later accesses do not come back here
+        return value
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _LAZY.keys())
+    def __dir__() -> list[str]:
+        return sorted(set(globals()) | _LAZY.keys())

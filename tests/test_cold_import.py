@@ -84,6 +84,11 @@ class TestSolvePath:
         for step, modules in steps.items():
             assert [m for m in modules if is_cold(m)] == [], step
 
+    def test_module_counts_are_pinned(self, steps):
+        # A new eager import on the solve path moves these.
+        counts = {step: len(modules) for step, modules in steps.items()}
+        assert counts == {"import": 43, "fast fig5": 45, "rtl fig3": 45, "solve_batch": 45}
+
     def test_only_timing_loads_from_telemetry_and_only_on_an_array_run(self, steps):
         assert not [m for m in steps["import"] if m.startswith("repro.telemetry")]
         for step in ("fast fig5", "rtl fig3", "solve_batch"):
